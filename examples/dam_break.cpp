@@ -178,12 +178,13 @@ int run(const util::ArgParser& args) {
         solver.timers().total("rezone"));
     std::printf(
         "rezone phases (%s): flags %.3f s | adapt %.3f s | remap %.3f s | "
-        "cache %.3f s\n",
+        "cache %.3f s (block index %.3f s)\n",
         shallow::rezone_mode_name(cfg.rezone_mode),
         solver.timers().total("rezone_flags"),
         solver.timers().total("rezone_adapt"),
         solver.timers().total("rezone_remap"),
-        solver.timers().total("rezone_cache"));
+        solver.timers().total("rezone_cache"),
+        solver.timers().total("block_index"));
     if (cfg.blocks) {
         const auto& bs = solver.block_index().stats();
         std::size_t tiled_cells = 0;
@@ -192,13 +193,13 @@ int run(const util::ArgParser& args) {
                 std::popcount(t.regular));
         std::printf(
             "blocks: %zu dense tiles (%zu cells), %zu fallback cells, "
-            "flux_sweep %.3f s, rezone updates %llu rebuilt / "
-            "%llu translated\n",
+            "flux_sweep %.3f s, %llu blocks built over %llu index "
+            "rebuilds\n",
             solver.tile_blocks().size(), tiled_cells,
             solver.fallback_cells().size(),
             solver.timers().total("flux_sweep"),
             static_cast<unsigned long long>(bs.blocks_rebuilt),
-            static_cast<unsigned long long>(bs.blocks_translated));
+            static_cast<unsigned long long>(bs.rebuilds));
     }
     std::printf("mass drift: %+.3e (relative)\n",
                 (solver.total_mass() - mass0) / mass0);

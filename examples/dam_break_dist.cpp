@@ -234,7 +234,12 @@ int main(int argc, char** argv) {
     args.add_double_option("courant", "CFL number", "0.2");
     args.add_flag("verbose", "print periodic step diagnostics");
     util::add_simd_option(args);
-    util::add_blocks_option(args);
+    // Not util::add_blocks_option: here the flag picks the decomposition,
+    // and the row-stripe solver stays the default.
+    args.add_option("blocks",
+                    "Decomposition: off (row stripes) | on (blocks); "
+                    "bit-identical solutions",
+                    "off");
     util::add_threads_option(args);
     obs::add_obs_options(args);
     if (!args.parse(argc, argv)) return 1;

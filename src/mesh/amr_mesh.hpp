@@ -174,8 +174,7 @@ public:
     /// Contiguous leaf-index range [first, last) whose finest-level Morton
     /// anchors lie in [morton_lo, morton_hi). Because leaves are stored in
     /// strictly increasing anchor order, any half-open code interval maps
-    /// to one contiguous index interval — the bulk-iteration primitive the
-    /// block builder uses to enumerate a Morton-aligned tile's members.
+    /// to one contiguous index interval.
     /// The range may be empty (first == last); unaligned edges are fine:
     /// a leaf whose anchor precedes morton_lo is excluded even when its
     /// extent overlaps the query (callers that need the covering leaf of

@@ -1,289 +1,170 @@
 #include "mesh/block_tree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <climits>
 #include <cstddef>
+#include <tuple>
 
 namespace tp::mesh {
 
 namespace {
 
-/// Finest-level Morton anchor of tile (level, bi, bj).
-std::uint64_t tile_anchor(const MeshGeometry& g, std::int32_t level,
-                          std::int32_t bi, std::int32_t bj) {
-    const auto shift = static_cast<std::uint32_t>(g.max_level - level);
-    return morton2d(static_cast<std::uint32_t>(bi * kBlockSize) << shift,
-                    static_cast<std::uint32_t>(bj * kBlockSize) << shift);
-}
-
-/// Width of a tile's Morton key interval: 64 leaves x 4^(levels below).
-std::uint64_t tile_span(const MeshGeometry& g, std::int32_t level) {
-    const auto shift = static_cast<std::uint32_t>(g.max_level - level);
-    return static_cast<std::uint64_t>(kBlockCells) << (2u * shift);
-}
+/// A tile position's four face neighbors in slot side order (west, east,
+/// south, north): index-space steps and source-map offsets.
+constexpr std::array<int, 4> kSideDi = {-1, +1, 0, 0};
+constexpr std::array<int, 4> kSideDj = {0, 0, -1, +1};
+constexpr std::array<int, 4> kSideOffset = {-1, +1, -kBlockPad, +kBlockPad};
 
 }  // namespace
 
-void BlockIndex::build_block(const AmrMesh& mesh, std::int32_t level,
-                             std::int32_t bi, std::int32_t bj,
-                             std::int32_t hint,
-                             std::vector<MeshBlock>& out_blocks,
-                             std::vector<std::int32_t>& out_src) {
-    const MeshGeometry& g = mesh.geometry();
+template <typename Area>
+void BlockIndex::rebuild(const AmrMesh& mesh,
+                         std::span<const std::int32_t> nbr_idx,
+                         std::span<const Area> nbr_area) {
     const auto& cells = mesh.cells();
-    const std::uint64_t anchor = tile_anchor(g, level, bi, bj);
-    const auto [first, last] =
-        mesh.leaves_in_range(anchor, anchor + tile_span(g, level));
-
-    MeshBlock b;
-    b.level = level;
-    b.bi = bi;
-    b.bj = bj;
-    b.anchor_key = anchor;
-    const std::int32_t i0 = bi * kBlockSize;
-    const std::int32_t j0 = bj * kBlockSize;
-    for (std::int32_t c = first; c < last; ++c) {
-        const Cell& cell = cells[static_cast<std::size_t>(c)];
-        if (cell.level != level) continue;  // finer leaves of refined holes
-        b.member_mask |= 1ull << block_bit(cell.i - i0, cell.j - j0);
-        if (b.members == 0) hint = c;  // seed the ghost-ring gallop nearby
-        ++b.members;
-    }
-    if (b.members == 0) return;
-
-    b.src_begin = static_cast<std::int32_t>(out_src.size());
-    out_src.resize(out_src.size() + static_cast<std::size_t>(kBlockPadCells),
-                   -1);
-    std::int32_t* src = out_src.data() + b.src_begin;
-
-    const std::int32_t nx = g.coarse_nx << level;
-    const std::int32_t ny = g.coarse_ny << level;
-    std::int32_t near = hint;
-    for (std::int32_t pj = 0; pj < kBlockPad; ++pj) {
-        const std::int32_t j = j0 + pj - 1;
-        if (j < 0 || j >= ny) continue;
-        for (std::int32_t pi = 0; pi < kBlockPad; ++pi) {
-            const std::int32_t i = i0 + pi - 1;
-            if (i < 0 || i >= nx) continue;
-            // Same-or-coarser cover -> the state the gather must read;
-            // finer cover -> first finer leaf, a finite placeholder only
-            // irregular cells sit next to.
-            near = mesh.covering_leaf_near(near, level, i, j);
-            src[pj * kBlockPad + pi] = near;
-        }
-    }
-
-    std::uint64_t m = b.member_mask;
-    while (m != 0) {
-        const int k = std::countr_zero(m);
-        m &= m - 1;
-        const int p = block_padded(k % kBlockSize, k / kBlockSize);
-        bool regular = true;
-        for (const int d : {-1, +1, -kBlockPad, +kBlockPad}) {
-            const std::int32_t s = src[p + d];
-            if (s < 0 || cells[static_cast<std::size_t>(s)].level > level) {
-                regular = false;
-                break;
-            }
-        }
-        if (regular) b.regular_mask |= 1ull << k;
-    }
-    out_blocks.push_back(b);
-}
-
-void BlockIndex::collect_candidates(const AmrMesh& mesh, std::int32_t first,
-                                    std::int32_t last) {
-    const auto& cells = mesh.cells();
-    const MeshGeometry& g = mesh.geometry();
-    for (std::int32_t c = first; c < last; ++c) {
-        const Cell& cell = cells[static_cast<std::size_t>(c)];
-        const std::int32_t bi = cell.i / kBlockSize;
-        const std::int32_t bj = cell.j / kBlockSize;
-        // Levels interleave in Morton order, so this only thins repeats;
-        // the caller dedupes globally by sort+unique.
-        if (!cand_.empty()) {
-            const Candidate& p = cand_.back();
-            if (p.level == cell.level && p.bi == bi && p.bj == bj) continue;
-        }
-        cand_.push_back(
-            {cell.level, bi, bj, c, tile_anchor(g, cell.level, bi, bj)});
-    }
-}
-
-namespace {
-
-void sort_unique_candidates(auto& cand) {
-    std::sort(cand.begin(), cand.end(), [](const auto& a, const auto& b) {
-        if (a.anchor_key != b.anchor_key) return a.anchor_key < b.anchor_key;
-        return a.level < b.level;
-    });
-    cand.erase(std::unique(cand.begin(), cand.end(),
-                           [](const auto& a, const auto& b) {
-                               return a.level == b.level && a.bi == b.bi &&
-                                      a.bj == b.bj;
-                           }),
-               cand.end());
-}
-
-}  // namespace
-
-void BlockIndex::rebuild(const AmrMesh& mesh) {
+    const std::size_t n = cells.size();
     ++stats_.rebuilds;
     blocks_.clear();
     src_.clear();
-    cand_.clear();
-    collect_candidates(mesh, 0, static_cast<std::int32_t>(mesh.num_cells()));
-    sort_unique_candidates(cand_);
-    for (const Candidate& c : cand_)
-        build_block(mesh, c.level, c.bi, c.bj, c.hint, blocks_, src_);
+    open_.assign(static_cast<std::size_t>(mesh.geometry().max_level) + 1, -1);
+    for (std::size_t c = 0; c < n; ++c) {
+        const Cell& cell = cells[c];
+        const std::int32_t bi = cell.i / kBlockSize;
+        const std::int32_t bj = cell.j / kBlockSize;
+        // A tile is one contiguous Morton range, so a leaf outside its
+        // level's open tile starts that level's next tile.
+        std::int32_t& open = open_[static_cast<std::size_t>(cell.level)];
+        if (open < 0 || blocks_[static_cast<std::size_t>(open)].bi != bi ||
+            blocks_[static_cast<std::size_t>(open)].bj != bj) {
+            open = static_cast<std::int32_t>(blocks_.size());
+            MeshBlock b;
+            b.level = cell.level;
+            b.bi = bi;
+            b.bj = bj;
+            b.src_begin = static_cast<std::int32_t>(src_.size());
+            blocks_.push_back(b);
+            src_.resize(src_.size() + kBlockPadCells, -1);
+        }
+        MeshBlock& b = blocks_[static_cast<std::size_t>(open)];
+        const int ii = cell.i - bi * kBlockSize;
+        const int jj = cell.j - bj * kBlockSize;
+        const int p = block_padded(ii, jj);
+        std::int32_t* src = src_.data() + b.src_begin;
+        src[p] = static_cast<std::int32_t>(c);
+        const std::uint64_t bit = 1ull << block_bit(ii, jj);
+        b.member_mask |= bit;
+        ++b.members;
+
+        // Regular iff every side has one same-or-coarser neighbor: a wall
+        // side has zero area, a finer side puts a finer leaf in slot 0.
+        // Sides are slot planes 0, 2, 4, 6, in kSideOffset order.
+        std::array<std::int32_t, 4> side;
+        bool regular = true;
+        for (std::size_t s = 0; s < 4 && regular; ++s) {
+            const std::size_t e = 2 * s * n + c;
+            side[s] = nbr_idx[e];
+            regular = nbr_area[e] != Area(0) &&
+                      cells[static_cast<std::size_t>(side[s])].level <=
+                          cell.level;
+        }
+        if (!regular) continue;
+        b.regular_mask |= bit;
+        for (std::size_t s = 0; s < 4; ++s) src[p + kSideOffset[s]] = side[s];
+    }
     stats_.blocks_rebuilt += blocks_.size();
 }
 
-void BlockIndex::apply_remap(const AmrMesh& mesh, const RemapPlan& plan) {
-    ++stats_.remaps;
-    const auto n_new = static_cast<std::int32_t>(mesh.num_cells());
-    const MeshGeometry& g = mesh.geometry();
-
-    // Old->new translation spans plus the dirty new-index gaps between
-    // copy spans, expressed as finest-level Morton key intervals. A gap's
-    // key interval covers the full geometric extent of whatever changed
-    // there (the boundary leaves are copies, so old and new keys agree).
-    spans_.clear();
-    dirty_.clear();
-    cand_.clear();
-    auto push_dirty = [&](std::int32_t a, std::int32_t b) {
-        const std::uint64_t lo = mesh.leaf_key(a);
-        const std::uint64_t hi = b < n_new ? mesh.leaf_key(b) : ~0ull;
-        dirty_.emplace_back(lo, hi);
-        collect_candidates(mesh, a, b);  // dirty leaves' own tiles
-    };
-    std::int32_t cursor = 0;
-    for (const CopySpan& s : plan.copy_spans) {
-        if (s.begin > cursor) push_dirty(cursor, s.begin);
-        spans_.push_back({s.begin - s.shift, s.end - s.shift, s.shift});
-        cursor = s.end;
-    }
-    if (cursor < n_new) push_dirty(cursor, n_new);
-
-    // Copies preserve relative order, so the old intervals are sorted too.
-    auto shift_of = [&](std::int32_t old_idx) -> std::int32_t {
-        auto it = std::upper_bound(
-            spans_.begin(), spans_.end(), old_idx,
-            [](std::int32_t v, const std::array<std::int32_t, 3>& s) {
-                return v < s[0];
-            });
-        if (it == spans_.begin()) return INT_MIN;
-        --it;
-        return old_idx < (*it)[1] ? (*it)[2] : INT_MIN;
-    };
-    auto intersects_dirty = [&](std::uint64_t lo, std::uint64_t hi) {
-        auto it = std::upper_bound(
-            dirty_.begin(), dirty_.end(), lo,
-            [](std::uint64_t v, const std::pair<std::uint64_t, std::uint64_t>&
-                                    d) { return v < d.second; });
-        return it != dirty_.end() && it->first < hi;
-    };
-
-    blocks_back_.clear();
-    src_back_.clear();
-    std::size_t translated = 0;
-    for (const MeshBlock& b : blocks_) {
-        // A block's members and ghost covers can only change if some leaf
-        // inside its 3x3 tile neighborhood changed (coarse covers that
-        // extend further necessarily overlap the neighborhood interval).
-        bool affected = false;
-        const std::int32_t nx = g.coarse_nx << b.level;
-        const std::int32_t ny = g.coarse_ny << b.level;
-        const std::uint64_t span = tile_span(g, b.level);
-        for (std::int32_t dj = -1; dj <= 1 && !affected; ++dj) {
-            const std::int32_t tj = b.bj + dj;
-            if (tj < 0 || tj * kBlockSize >= ny) continue;
-            for (std::int32_t di = -1; di <= 1; ++di) {
-                const std::int32_t ti = b.bi + di;
-                if (ti < 0 || ti * kBlockSize >= nx) continue;
-                const std::uint64_t a = tile_anchor(g, b.level, ti, tj);
-                if (intersects_dirty(a, a + span)) {
-                    affected = true;
-                    break;
-                }
-            }
-        }
-        bool ok = !affected;
-        if (ok) {
-            // Untouched: members, masks, and covers are unchanged — only
-            // leaf indices shifted span-wise.
-            MeshBlock nb = b;
-            nb.src_begin = static_cast<std::int32_t>(src_back_.size());
-            const std::int32_t* src = src_.data() + b.src_begin;
-            for (int p = 0; p < kBlockPadCells; ++p) {
-                std::int32_t s = src[p];
-                if (s >= 0) {
-                    const std::int32_t sh = shift_of(s);
-                    if (sh == INT_MIN) {  // defensive: fall back to rebuild
-                        ok = false;
-                        break;
-                    }
-                    s += sh;
-                }
-                src_back_.push_back(s);
-            }
-            if (ok) {
-                blocks_back_.push_back(nb);
-                ++translated;
-            } else {
-                src_back_.resize(
-                    static_cast<std::size_t>(nb.src_begin));
-            }
-        }
-        if (!ok) cand_.push_back({b.level, b.bi, b.bj, 0, b.anchor_key});
-    }
-
-    sort_unique_candidates(cand_);
-    for (const Candidate& c : cand_)
-        build_block(mesh, c.level, c.bi, c.bj, c.hint, blocks_back_,
-                    src_back_);
-    // Sorting the structs leaves src_begin offsets valid — the source
-    // table need not share the block order.
-    std::sort(blocks_back_.begin(), blocks_back_.end(),
-              [](const MeshBlock& a, const MeshBlock& b) {
-                  if (a.anchor_key != b.anchor_key)
-                      return a.anchor_key < b.anchor_key;
-                  return a.level < b.level;
-              });
-    stats_.blocks_translated += translated;
-    stats_.blocks_rebuilt += blocks_back_.size() - translated;
-    std::swap(blocks_, blocks_back_);
-    std::swap(src_, src_back_);
-}
+template void BlockIndex::rebuild<float>(const AmrMesh&,
+                                         std::span<const std::int32_t>,
+                                         std::span<const float>);
+template void BlockIndex::rebuild<double>(const AmrMesh&,
+                                          std::span<const std::int32_t>,
+                                          std::span<const double>);
 
 bool BlockIndex::consistent_with(const AmrMesh& mesh,
                                  std::string* why) const {
-    BlockIndex fresh;
-    fresh.rebuild(mesh);
     auto fail = [&](std::string m) {
         if (why) *why = std::move(m);
         return false;
     };
-    if (fresh.blocks_.size() != blocks_.size())
-        return fail("block count " + std::to_string(blocks_.size()) +
-                    " != expected " + std::to_string(fresh.blocks_.size()));
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        const MeshBlock& a = blocks_[i];
-        const MeshBlock& e = fresh.blocks_[i];
-        if (a.level != e.level || a.bi != e.bi || a.bj != e.bj ||
-            a.members != e.members || a.member_mask != e.member_mask ||
-            a.regular_mask != e.regular_mask || a.anchor_key != e.anchor_key)
-            return fail("block " + std::to_string(i) + " metadata mismatch");
-        const auto sa = src(a);
-        const auto se = fresh.src(e);
-        for (int p = 0; p < kBlockPadCells; ++p)
-            if (sa[static_cast<std::size_t>(p)] !=
-                se[static_cast<std::size_t>(p)])
-                return fail("block " + std::to_string(i) +
-                            " source map mismatch at position " +
-                            std::to_string(p));
+    const MeshGeometry& g = mesh.geometry();
+    const auto& cells = mesh.cells();
+    std::vector<std::tuple<std::int32_t, std::int32_t, std::int32_t>> tiles;
+    std::vector<std::int32_t> begins;
+    std::array<std::int32_t, kBlockPadCells> expect;
+    std::size_t members = 0;
+    for (std::size_t k = 0; k < blocks_.size(); ++k) {
+        const MeshBlock& b = blocks_[k];
+        const std::string at = "block " + std::to_string(k) + " (level " +
+                               std::to_string(b.level) + ", tile " +
+                               std::to_string(b.bi) + "," +
+                               std::to_string(b.bj) + "): ";
+        if (b.src_begin < 0 || b.src_begin % kBlockPadCells != 0 ||
+            static_cast<std::size_t>(b.src_begin) + kBlockPadCells >
+                src_.size())
+            return fail(at + "source map out of range");
+        tiles.emplace_back(b.level, b.bi, b.bj);
+        begins.push_back(b.src_begin);
+
+        const std::int32_t nx = g.coarse_nx << b.level;
+        const std::int32_t ny = g.coarse_ny << b.level;
+        std::uint64_t member = 0;
+        std::uint64_t regular = 0;
+        expect.fill(-1);
+        for (int jj = 0; jj < kBlockSize; ++jj) {
+            for (int ii = 0; ii < kBlockSize; ++ii) {
+                const std::int32_t i = b.bi * kBlockSize + ii;
+                const std::int32_t j = b.bj * kBlockSize + jj;
+                if (i >= nx || j >= ny) continue;
+                const std::int32_t leaf = mesh.leaf_index(b.level, i, j);
+                if (leaf < 0) continue;
+                const std::uint64_t bit = 1ull << block_bit(ii, jj);
+                const int p = block_padded(ii, jj);
+                member |= bit;
+                expect[static_cast<std::size_t>(p)] = leaf;
+                std::array<std::int32_t, 4> cover;
+                bool reg = true;
+                for (std::size_t s = 0; s < 4 && reg; ++s) {
+                    const std::int32_t ni = i + kSideDi[s];
+                    const std::int32_t nj = j + kSideDj[s];
+                    reg = ni >= 0 && ni < nx && nj >= 0 && nj < ny;
+                    if (!reg) break;
+                    cover[s] = mesh.covering_leaf(b.level, ni, nj);
+                    reg = cells[static_cast<std::size_t>(cover[s])].level <=
+                          b.level;
+                }
+                if (!reg) continue;
+                regular |= bit;
+                for (std::size_t s = 0; s < 4; ++s)
+                    expect[static_cast<std::size_t>(p + kSideOffset[s])] =
+                        cover[s];
+            }
+        }
+        if (member == 0) return fail(at + "no member leaves");
+        if (b.member_mask != member) return fail(at + "member_mask mismatch");
+        if (b.members != std::popcount(member))
+            return fail(at + "member count mismatch");
+        if (b.regular_mask != regular)
+            return fail(at + "regular_mask mismatch");
+        const auto s = src(b);
+        for (std::size_t p = 0; p < expect.size(); ++p)
+            if (s[p] != expect[p])
+                return fail(at + "source map position " + std::to_string(p) +
+                            " holds " + std::to_string(s[p]) +
+                            ", expected " + std::to_string(expect[p]));
+        members += static_cast<std::size_t>(b.members);
     }
+    std::sort(tiles.begin(), tiles.end());
+    if (std::adjacent_find(tiles.begin(), tiles.end()) != tiles.end())
+        return fail("a tile appears in two blocks");
+    std::sort(begins.begin(), begins.end());
+    if (std::adjacent_find(begins.begin(), begins.end()) != begins.end())
+        return fail("two blocks share a source map");
+    if (members != mesh.num_cells())
+        return fail("blocks hold " + std::to_string(members) +
+                    " members, mesh has " +
+                    std::to_string(mesh.num_cells()) + " leaves");
     return true;
 }
 

@@ -7,32 +7,29 @@
 // set of leaves at one refinement level inside one Morton-aligned
 // kBlockSize x kBlockSize quadrant of that level's index space. Because
 // an aligned power-of-two square is exactly one contiguous Morton range,
-// every block is a contiguous slice of the sorted leaf list and the
-// member lookup is the mesh's leaves_in_range() primitive.
+// every block's members are a contiguous slice of the sorted leaf list
+// (interleaved only with other levels' leaves).
 //
-// Each block carries a padded (kBlockPad x kBlockPad) *source map*: for
-// every position of the tile plus its one-cell ghost ring, the index of
-// the leaf covering that quadrant (-1 outside the domain). Positions
-// covered by a same-or-coarser leaf read correct state through the map;
-// positions covered by finer leaves resolve to the first finer leaf
-// inside the quadrant and are only ever read next to cells the
-// regular_mask excludes. Gathering state through the map turns the
+// Each block carries a padded (kBlockPad x kBlockPad) *source map* over
+// the tile plus its one-cell ghost ring. It holds exactly what the dense
+// tile sweep reads: every member's own leaf index, and for each regular
+// member the leaves covering its four face neighbors. Every other
+// position is -1 — the tile gather fills those with a benign value that
+// no regular cell reads. Gathering state through the map turns the
 // irregular Morton walk into dense unit-stride tiles — what lets the
 // flux sweep run the fused SIMD bodies block-by-block on an adaptive
 // mesh (shallow/flux_kernel.hpp's tile kernels).
 //
-// The index stays incrementally consistent across adapt(): apply_remap
-// consumes the same RemapPlan copy spans the solver's cache update uses,
-// translates the untouched blocks' leaf indices span-wise, and rebuilds
-// only blocks whose 3x3 tile neighborhood intersects a dirty Morton
-// interval. The structure is geometry/topology only — state stays in the
-// solver, which owns the per-policy gather/scatter.
+// The index is rebuilt after every topology refresh in one linear pass
+// over the leaves that reads each member's sides from the solver's slot
+// tables (which are themselves maintained incrementally), so it needs no
+// mesh searches and no remap bookkeeping of its own. The structure is
+// geometry/topology only — state stays in the solver, which owns the
+// per-policy gather/scatter.
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "mesh/amr_mesh.hpp"
@@ -59,8 +56,8 @@ struct MeshBlock {
     std::int32_t level = 0;
     std::int32_t bi = 0;  ///< tile coordinate, level-`level` cell i >> 3
     std::int32_t bj = 0;
-    /// Offset of this block's padded source map in BlockIndex::src_data()
-    /// (always a multiple of kBlockPadCells; map order is row-major over
+    /// Offset of this block's padded source map in the index's source
+    /// table (a multiple of kBlockPadCells; map order is row-major over
     /// the padded tile, ghost ring included).
     std::int32_t src_begin = 0;
     std::int32_t members = 0;  ///< popcount(member_mask)
@@ -72,23 +69,20 @@ struct MeshBlock {
     /// cells the dense tile sweep may compute; the rest take the
     /// per-cell slot-table path.
     std::uint64_t regular_mask = 0;
-    /// Finest-level Morton anchor of the tile; the block list is sorted
-    /// by (anchor_key, level).
-    std::uint64_t anchor_key = 0;
 };
 
 class BlockIndex {
 public:
-    /// Rebuild the whole index from the mesh (constructor-time path).
-    void rebuild(const AmrMesh& mesh);
-
-    /// Incremental update after mesh.adapt(plan): translate the blocks
-    /// whose 3x3 tile neighborhood is untouched by any dirty Morton
-    /// interval (their member sets, masks, and covering leaves are
-    /// provably unchanged — only leaf *indices* shifted), rebuild the
-    /// rest from the post-adapt mesh. Result is element-wise identical
-    /// to rebuild(mesh).
-    void apply_remap(const AmrMesh& mesh, const RemapPlan& plan);
+    /// Rebuild the whole index in one pass over the Morton-sorted leaves
+    /// of `mesh`. `nbr_idx`/`nbr_area` are the solver's slot-major
+    /// neighbor tables (8 planes of num_cells entries); only the first
+    /// slot of each side is read — plane 0 west, 2 east, 4 south,
+    /// 6 north — whose area is 0 on a domain wall. Blocks come out in
+    /// the order of their first member leaf. Reuses capacity: a rebuild
+    /// that fits the previous high-water mark allocates nothing.
+    template <typename Area>
+    void rebuild(const AmrMesh& mesh, std::span<const std::int32_t> nbr_idx,
+                 std::span<const Area> nbr_area);
 
     [[nodiscard]] const std::vector<MeshBlock>& blocks() const {
         return blocks_;
@@ -100,48 +94,35 @@ public:
     }
 
     struct Stats {
-        std::uint64_t rebuilds = 0;           ///< full rebuild() calls
-        std::uint64_t remaps = 0;             ///< apply_remap() calls
-        std::uint64_t blocks_rebuilt = 0;     ///< blocks re-resolved
-        std::uint64_t blocks_translated = 0;  ///< blocks index-shifted
+        std::uint64_t rebuilds = 0;        ///< rebuild() calls
+        std::uint64_t blocks_rebuilt = 0;  ///< blocks built, summed
+        /// Always 0: every refresh rebuilds the whole index (the old
+        /// incremental translate was never cheaper). Kept so benchmark
+        /// reports that print the counter stay comparable.
+        std::uint64_t blocks_translated = 0;
     };
     [[nodiscard]] const Stats& stats() const { return stats_; }
 
-    /// Compare against a from-scratch rebuild of the same mesh (blocks
-    /// and source-map contents element-wise). Test hook for apply_remap;
-    /// allocates, so never on a hot path.
+    /// Check the index against an oracle derived from the mesh alone
+    /// (leaf and covering-leaf lookups, never the slot tables): every
+    /// leaf is a member of exactly one block — its (level, i>>3, j>>3)
+    /// tile — the member and regular masks are exact, and each source
+    /// map holds the members' own leaves, the covering leaves of the
+    /// regular members' four face neighbors, and -1 everywhere else.
+    /// Test hook; allocates, so never on a hot path.
     [[nodiscard]] bool consistent_with(const AmrMesh& mesh,
                                        std::string* why = nullptr) const;
 
 private:
-    /// Append the block (level, bi, bj) of `mesh` — if it has any member
-    /// leaves — to `out_blocks`, with its source map appended to
-    /// `out_src`. `hint` seeds the covering-leaf gallop.
-    static void build_block(const AmrMesh& mesh, std::int32_t level,
-                            std::int32_t bi, std::int32_t bj,
-                            std::int32_t hint,
-                            std::vector<MeshBlock>& out_blocks,
-                            std::vector<std::int32_t>& out_src);
-    /// Collect the deduplicated (level, bi, bj) tiles of leaves
-    /// [first, last) into cand_ (with a member-leaf hint each).
-    void collect_candidates(const AmrMesh& mesh, std::int32_t first,
-                            std::int32_t last);
-
-    struct Candidate {
-        std::int32_t level, bi, bj, hint;
-        std::uint64_t anchor_key;
-    };
-
     std::vector<MeshBlock> blocks_;
     std::vector<std::int32_t> src_;
-    // Double buffers + scratch, members so steady-state remaps reuse
-    // capacity instead of reallocating.
-    std::vector<MeshBlock> blocks_back_;
-    std::vector<std::int32_t> src_back_;
-    std::vector<Candidate> cand_;
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> dirty_;
-    std::vector<std::array<std::int32_t, 3>> spans_;  // old_b, old_e, shift
+    std::vector<std::int32_t> open_;  ///< per level: block being filled
     Stats stats_;
 };
+
+extern template void BlockIndex::rebuild<float>(
+    const AmrMesh&, std::span<const std::int32_t>, std::span<const float>);
+extern template void BlockIndex::rebuild<double>(
+    const AmrMesh&, std::span<const std::int32_t>, std::span<const double>);
 
 }  // namespace tp::mesh

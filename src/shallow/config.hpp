@@ -59,10 +59,10 @@ struct Config {
                                          ///< both paths are bit-identical
     RezoneMode rezone_mode = RezoneMode::Incremental;  ///< runtime
                                          ///< --rezone=incremental|full
-    bool blocks = false;  ///< --blocks=on|off: run the flux sweep over
-                          ///< dense SoA mesh-block tiles (bit-identical
-                          ///< to the cell path; off preserves the cell
-                          ///< path untouched)
+    bool blocks = true;  ///< --blocks=on|off: run the flux sweep over
+                         ///< dense SoA mesh-block tiles (on, the
+                         ///< default) or the per-cell runs (off, the
+                         ///< bit-identical oracle path)
 };
 
 /// Cylindrical dam break initial condition: a column of water of height

@@ -296,7 +296,7 @@ inline constexpr int kTilePadCells = kTilePad * kTilePad;
 /// per-tile broadcast instead of a per-slot table).
 template <typename C>
 struct TileBlock {
-    const std::int32_t* src;  ///< kTilePadCells gather map; -1 off-domain
+    const std::int32_t* src;  ///< kTilePadCells gather map; -1 unread
     std::uint64_t regular;    ///< members the dense sweep computes
     C wx;                     ///< x-face area = cell_dy(level)
     C wy;                     ///< y-face area = cell_dx(level)
@@ -326,8 +326,9 @@ inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     const C one = C(1);
     const C hfloor = C(1e-8);
 
-    // Gather storage state through the source map. Off-domain ring
-    // positions get a benign finite fill no regular cell ever reads.
+    // Gather storage state through the source map. Unmapped positions
+    // (-1: off-domain, or read by no regular member) get a benign finite
+    // fill no regular cell ever reads.
     S th[kTilePadCells];
     S thu[kTilePadCells];
     S thv[kTilePadCells];

@@ -249,40 +249,47 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
         for (std::int32_t b = run.begin; b < run.end; b += kNativeLanes)
             flux_blocks_.push_back(
                 {b, std::min<std::int32_t>(kNativeLanes, run.end - b)});
-    // Tile lists derive from the block index the caller just refreshed.
-    if (config_.blocks) rebuild_tile_lists();
-    // The alt-precision tables mirror the ones rebuilt above; they are
-    // refreshed lazily on the next governed sweep that needs them.
+    // The block index and the alt-precision tables mirror the tables
+    // rebuilt above. A rezone rebuilds the blocks right away; after
+    // construction or a restart they wait for the first step, so a solver
+    // that is only restored never builds them. The alt tables are
+    // refreshed on the next governed sweep that needs them.
+    blocks_stale_ = config_.blocks;
     alt_tables_stale_ = true;
 }
 
-// Rebuild the dense-tile and fallback-cell lists from block_index_. Dense
-// tiles carry the regular members of blocks worth gathering; every other
-// cell — irregular members plus all members of skipped sparse blocks —
-// lands in the sorted fallback list that flux_block_gather walks W cells
-// per pack. Which cells go where is decided purely by topology, so
-// scalar, native, and governed-alt sweeps share one iteration space.
+// Rebuild block_index_ from the refreshed slot tables, then the dense-tile
+// and fallback-cell lists from it. Dense tiles carry the regular members
+// of blocks worth gathering; every other cell — irregular members plus
+// all members of skipped sparse blocks — lands in the sorted fallback
+// list that flux_block_gather walks W cells per pack. Which cells go
+// where is decided purely by topology, so scalar, native, and
+// governed-alt sweeps share one iteration space. Timed as "block_index"
+// (inside "rezone_cache" when a rezone triggers it, so deliberately not a
+// "rezone_" name).
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::rebuild_tile_lists() {
+void ShallowWaterSolver<Policy>::rebuild_blocks() {
     static_assert(detail::kTileSize == mesh::kBlockSize &&
                   detail::kTilePad == mesh::kBlockPad);
+    util::WallTimer t;
+    block_index_.rebuild(mesh_, std::span<const std::int32_t>(nbr_idx_),
+                         std::span<const compute_t>(nbr_area_));
     const std::size_t n = mesh_.num_cells();
     tile_blocks_.clear();
-    tile_blocks_alt_.clear();
-    fallback_flag_.assign(n, std::uint8_t(0));
+    // resize + fill rather than assign: assign reallocates to exactly n on
+    // every growth, resize grows geometrically.
+    fallback_flag_.resize(n);
+    std::fill(fallback_flag_.begin(), fallback_flag_.end(), std::uint8_t(0));
     for (const mesh::MeshBlock& b : block_index_.blocks()) {
         const bool dense = std::popcount(b.regular_mask) >= kMinTileRegular;
         const std::int32_t* src = block_index_.src(b).data();
         if (dense) {
             // The full same-level face widths, cast exactly as the slot
-            // tables cast them (alt areas double-cast through compute_t,
-            // matching prepare_alt_tables).
-            const auto wx = static_cast<compute_t>(mesh_.cell_dy(b.level));
-            const auto wy = static_cast<compute_t>(mesh_.cell_dx(b.level));
-            tile_blocks_.push_back({src, b.regular_mask, wx, wy});
-            tile_blocks_alt_.push_back({src, b.regular_mask,
-                                        static_cast<alt_compute_t>(wx),
-                                        static_cast<alt_compute_t>(wy)});
+            // tables cast them.
+            tile_blocks_.push_back(
+                {src, b.regular_mask,
+                 static_cast<compute_t>(mesh_.cell_dy(b.level)),
+                 static_cast<compute_t>(mesh_.cell_dx(b.level))});
         }
         std::uint64_t rest =
             dense ? (b.member_mask & ~b.regular_mask) : b.member_mask;
@@ -298,6 +305,8 @@ void ShallowWaterSolver<Policy>::rebuild_tile_lists() {
     for (std::size_t c = 0; c < n; ++c)
         if (fallback_flag_[c] != 0)
             fallback_cells_.push_back(static_cast<std::int32_t>(c));
+    blocks_stale_ = false;
+    timers_.add("block_index", t.elapsed_seconds());
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -322,7 +331,6 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
                   static_cast<std::size_t>(c)] = area[s];
         }
     }
-    if (config_.blocks) block_index_.rebuild(mesh_);
     rebuild_iteration_space();
 }
 
@@ -368,7 +376,6 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches_facescan() {
         assign_slot(f.lo, 6, f.hi, f.area);  // north side of lo
         assign_slot(f.hi, 4, f.lo, f.area);  // south side of hi
     }
-    if (config_.blocks) block_index_.rebuild(mesh_);
     rebuild_iteration_space();
 }
 
@@ -488,7 +495,6 @@ std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     }
     nbr_idx_.swap(nbr_idx_back_);
     nbr_area_.swap(nbr_area_back_);
-    if (config_.blocks) block_index_.apply_remap(mesh_, plan);
     rebuild_iteration_space();
     return static_cast<std::size_t>(resolved);
 }
@@ -791,7 +797,8 @@ void ShallowWaterSolver<Policy>::rezone() {
     timers_.add("rezone_remap", s_remap);
 
     // Phase 4: topology caches — incremental translate of surviving
-    // cells' slots vs. the Full face-scan rebuild.
+    // cells' slots vs. the Full face-scan rebuild — then the block index
+    // derived from them, so its cost is part of the rezone.
     t.restart();
     std::size_t resolved;
     {
@@ -802,6 +809,7 @@ void ShallowWaterSolver<Policy>::rezone() {
             rebuild_topology_caches_facescan();
             resolved = new_cells;
         }
+        if (blocks_stale_) rebuild_blocks();
     }
     const double s_cache = t.elapsed_seconds();
     const std::uint64_t cache_bytes =
@@ -1031,13 +1039,23 @@ void ShallowWaterSolver<Policy>::prepare_alt_tables() {
 #pragma omp parallel for simd schedule(static)
     for (std::int64_t i = 0; i < na; ++i)
         dst[i] = static_cast<alt_compute_t>(src[i]);
-    // Pack blocks at the alt lattice's native width (float sweeps get
-    // twice the lanes of double sweeps, same as the static paths).
+    // The blocked sweep reuses the tiles, face widths double-cast through
+    // compute_t exactly like the alt slot areas above. The cell sweep
+    // packs at the alt lattice's native width (float sweeps get twice the
+    // lanes of double sweeps, same as the static paths).
+    tile_blocks_alt_.clear();
     flux_blocks_alt_.clear();
-    for (const detail::LevelRun& run : level_runs_)
-        for (std::int32_t b = run.begin; b < run.end; b += kAltLanes)
-            flux_blocks_alt_.push_back(
-                {b, std::min<std::int32_t>(kAltLanes, run.end - b)});
+    if (config_.blocks) {
+        for (const auto& t : tile_blocks_)
+            tile_blocks_alt_.push_back({t.src, t.regular,
+                                        static_cast<alt_compute_t>(t.wx),
+                                        static_cast<alt_compute_t>(t.wy)});
+    } else {
+        for (const detail::LevelRun& run : level_runs_)
+            for (std::int32_t b = run.begin; b < run.end; b += kAltLanes)
+                flux_blocks_alt_.push_back(
+                    {b, std::min<std::int32_t>(kAltLanes, run.end - b)});
+    }
     alt_tables_stale_ = false;
 }
 
@@ -1427,6 +1445,7 @@ double ShallowWaterSolver<Policy>::step() {
     if (config_.rezone_interval > 0 &&
         step_count_ % config_.rezone_interval == 0 && step_count_ > 0)
         rezone();
+    if (blocks_stale_) rebuild_blocks();  // after construction or restart
     const double dt = compute_dt();
     finite_diff(dt);
     // Sampled health check: with --probe on, scan the freshly updated

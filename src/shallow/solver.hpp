@@ -189,7 +189,9 @@ public:
     }
 
     /// Block index driving the --blocks=on tile sweep (empty while blocks
-    /// are off). Exposed for the block-lifecycle tests.
+    /// are off). Current as of the last step: built by every rezone and
+    /// by the first step after construction or a restart. Exposed for the
+    /// block-lifecycle tests.
     [[nodiscard]] const mesh::BlockIndex& block_index() const {
         return block_index_;
     }
@@ -297,9 +299,10 @@ private:
     // Defined in flux_scalar.cpp, a TU compiled with the auto-vectorizer
     // off, so the W == 1 path measures true scalar issue.
     void flux_sweep_scalar();
-    /// Rebuild tile_blocks_/fallback_cells_ from block_index_ — part of
-    /// every topology-cache refresh while blocks are on.
-    void rebuild_tile_lists();
+    /// Rebuild block_index_ from the slot tables, then tile_blocks_ and
+    /// fallback_cells_ from it — the tail of every topology-cache refresh
+    /// while blocks are on.
+    void rebuild_blocks();
     [[nodiscard]] detail::TileSweepArgs<storage_t, compute_t> tile_args();
     [[nodiscard]] detail::TileSweepArgs<storage_t, alt_compute_t>
     tile_args_alt();
@@ -382,6 +385,7 @@ private:
     std::vector<detail::TileBlock<alt_compute_t>> tile_blocks_alt_;
     std::vector<std::int32_t> fallback_cells_;
     std::vector<std::uint8_t> fallback_flag_;
+    bool blocks_stale_ = false;  // block state lags the topology tables
     // Governed-path state: alt-precision increment buffers, neighbor areas
     // and pack blocks, built lazily on the first governed step after a
     // topology change. Empty whenever no enabled governor is attached.

@@ -216,11 +216,10 @@ shallow::RezoneMode apply_rezone_option(const ArgParser& args) {
 
 void add_blocks_option(ArgParser& args) {
     args.add_option("blocks",
-                    "Flux sweep iteration space: off|on. When on, the "
-                    "sweep runs over dense SoA mesh-block tiles "
-                    "(bit-identical to the per-cell path; off leaves the "
-                    "cell path untouched)",
-                    "off");
+                    "Flux sweep iteration space: on|off. On runs the "
+                    "sweep over dense SoA mesh-block tiles; off runs the "
+                    "per-cell path (bit-identical solutions)",
+                    "on");
 }
 
 bool apply_blocks_option(const ArgParser& args) {

@@ -101,8 +101,8 @@ void add_rezone_option(ArgParser& args);
 [[nodiscard]] shallow::RezoneMode apply_rezone_option(const ArgParser& args);
 
 /// Register the standard `--blocks on|off` option selecting whether the
-/// flux sweep runs over dense SoA mesh-block tiles (bit-identical
-/// solutions; `off` preserves the per-cell path untouched).
+/// flux sweep runs over dense SoA mesh-block tiles (`on`, the default)
+/// or the per-cell path (`off`); solutions are bit-identical.
 void add_blocks_option(ArgParser& args);
 
 /// Parse the `--blocks` value; throws std::invalid_argument on junk.

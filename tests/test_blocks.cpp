@@ -13,6 +13,9 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <fstream>
+#include <iomanip>
+#include <map>
 #include <new>
 #include <span>
 #include <sstream>
@@ -25,6 +28,7 @@
 #include "par/dist_blocks.hpp"
 #include "par/dist_shallow.hpp"
 #include "shallow/solver.hpp"
+#include "util/threads.hpp"
 
 using namespace tp;
 namespace tsh = tp::shallow;
@@ -55,6 +59,15 @@ tsh::Config amr_config(int n, int levels, simd::Mode mode, bool blocks,
     cfg.rezone_interval = rezone_interval;
     return cfg;
 }
+
+// Runs a test body on one thread: the results are thread-count
+// invariant, and under a parallel ctest a full OpenMP team per test only
+// oversubscribes the host.
+struct SingleThread {
+    int previous = util::max_threads();
+    SingleThread() { util::set_threads(1); }
+    ~SingleThread() { util::set_threads(previous); }
+};
 
 template <typename Policy>
 std::string checkpoint_after(const tsh::Config& cfg, int steps) {
@@ -103,23 +116,139 @@ TEST(BlockedSweepBitwise, HalfStoragePrecision) {
     blocked_matches_cell_matrix<fp::HalfStoragePrecision>();
 }
 
+// ------------------------------------------- frozen cell-path digests
+
+// tools/baselines/cell_path_digests.txt freezes the cell path's
+// (blocks = false) checkpoint for every configuration the blocked-vs-cell
+// gates compare: the matrix above (rezone every 4, 30 steps) and
+// bench/table_block_amr's (rezone every 2, 30 steps; 16 steps on its
+// --quick grids). The default path must reproduce every one, so the gate
+// keeps its strength once the cell path is gone; while the cell path
+// exists it is held to the same file. A missing or different entry is
+// reported as the line the run produced.
+
+std::uint64_t fnv1a64(const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/// "<policy> <simd> <grid> <levels> <steps> <rezone_interval>" ->
+/// "<checkpoint bytes> <fnv1a64 hex>", one line each, '#' comments.
+std::map<std::string, std::string> read_frozen_digests() {
+    std::map<std::string, std::string> frozen;
+    std::ifstream in(TP_BASELINES_DIR "/cell_path_digests.txt");
+    EXPECT_TRUE(in) << "cannot open " TP_BASELINES_DIR
+                       "/cell_path_digests.txt";
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') continue;
+        std::istringstream ls(line);
+        std::string field[8];
+        for (auto& f : field) ls >> f;
+        frozen[field[0] + ' ' + field[1] + ' ' + field[2] + ' ' + field[3] +
+               ' ' + field[4] + ' ' + field[5]] = field[6] + ' ' + field[7];
+    }
+    return frozen;
+}
+
+template <typename Policy>
+void reproduces_frozen_digests() {
+    const SingleThread one;
+    const auto frozen = read_frozen_digests();
+    ASSERT_TRUE(tsh::Config{}.blocks) << "blocks are the default path";
+    struct Run {
+        int rezone_interval, steps;
+        bool quick_grids_only;
+    };
+    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+        for (const int grid : {12, 16, 24}) {
+            for (const Run run : {Run{4, 30, false}, Run{2, 30, false},
+                                  Run{2, 16, true}}) {
+                if (run.quick_grids_only && grid > 16) continue;
+                const int levels = grid <= 16 ? 3 : 2;
+                std::ostringstream key;
+                key << Policy::name << ' '
+                    << (mode == simd::Mode::Native ? "native" : "scalar")
+                    << ' ' << grid << ' ' << levels << ' ' << run.steps
+                    << ' ' << run.rezone_interval;
+                const auto it = frozen.find(key.str());
+                const std::string want =
+                    it == frozen.end() ? "(missing)" : it->second;
+                // The default path, then the cell path.
+                for (const bool blocks : {tsh::Config{}.blocks, false}) {
+                    const auto ckpt = checkpoint_after<Policy>(
+                        amr_config(grid, levels, mode, blocks,
+                                   run.rezone_interval),
+                        run.steps);
+                    std::ostringstream got;
+                    got << ckpt.size() << ' ' << std::hex << std::setw(16)
+                        << std::setfill('0') << fnv1a64(ckpt);
+                    EXPECT_EQ(got.str(), want)
+                        << (blocks ? "default" : "cell") << " path produced: "
+                        << key.str() << ' ' << got.str();
+                }
+            }
+        }
+    }
+}
+
+TEST(CellPathDigests, MinimumPrecision) {
+    reproduces_frozen_digests<fp::MinimumPrecision>();
+}
+TEST(CellPathDigests, MixedPrecision) {
+    reproduces_frozen_digests<fp::MixedPrecision>();
+}
+TEST(CellPathDigests, FullPrecision) {
+    reproduces_frozen_digests<fp::FullPrecision>();
+}
+TEST(CellPathDigests, HalfStoragePrecision) {
+    reproduces_frozen_digests<fp::HalfStoragePrecision>();
+}
+
 // ------------------------------------------------- block index lifecycle
 
-// After any run's worth of incremental apply_remap updates, the index
-// must be element-wise identical to a from-scratch rebuild — and the
-// incremental path must actually be incremental (some blocks translated,
-// not all rebuilt).
-TEST(BlockIndex, StaysConsistentAcrossRezones) {
+// The index is rebuilt from the solver's slot tables after every
+// topology refresh. After the first step and after every single rezone
+// it must match an oracle derived from the mesh alone (consistent_with:
+// exact masks, every position a regular member reads, -1 everywhere
+// else) — for float and double slot areas, and behind both the
+// incremental slot update and the face-scan rebuild.
+template <typename Policy>
+void index_matches_oracle_every_rezone(tsh::RezoneMode mode) {
+    const SingleThread one;
     auto cfg = amr_config(24, 3, simd::Mode::Native, true,
-                          /*rezone_interval=*/2);
-    tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
+                          /*rezone_interval=*/1);
+    cfg.rezone_mode = mode;
+    tsh::ShallowWaterSolver<Policy> s(cfg);
     s.initialize_dam_break({});
-    s.run(40);
     std::string why;
-    EXPECT_TRUE(s.block_index().consistent_with(s.mesh(), &why)) << why;
+    std::size_t topology_changes = 0;
+    for (int k = 0; k < 40; ++k) {
+        const std::size_t before = s.mesh().num_cells();
+        s.step();
+        topology_changes += s.mesh().num_cells() != before;
+        ASSERT_TRUE(s.block_index().consistent_with(s.mesh(), &why))
+            << "after rezone " << s.rezone_stats().rezones << ": " << why;
+    }
+    EXPECT_EQ(s.rezone_stats().rezones, 39u);
+    EXPECT_GT(topology_changes, 10u);  // the oracle saw a moving mesh
     const auto& st = s.block_index().stats();
-    EXPECT_GT(st.remaps, 0u);
-    EXPECT_GT(st.blocks_translated, 0u);
+    // One build for the first step, one per rezone.
+    EXPECT_EQ(st.rebuilds, 1 + s.rezone_stats().rezones);
+    EXPECT_EQ(st.blocks_translated, 0u);
+}
+
+TEST(BlockIndex, MatchesMeshOracleAfterEveryRezone) {
+    index_matches_oracle_every_rezone<fp::MixedPrecision>(
+        tsh::RezoneMode::Incremental);
+    index_matches_oracle_every_rezone<fp::MinimumPrecision>(
+        tsh::RezoneMode::Incremental);
+    index_matches_oracle_every_rezone<fp::MinimumPrecision>(
+        tsh::RezoneMode::Full);
 }
 
 // Fill-mask correctness after rezones: member bits name exactly the
@@ -211,6 +340,35 @@ TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
     s.run(5);
     EXPECT_EQ(g_allocs.load(), before) << "blocked sweep allocated in "
                                           "steady state";
+}
+
+// Rezoning steps: once a warm-up has seen every mesh the measured steps
+// will see, the block index rebuild and the tile lists run on reused
+// capacity, so a blocked rezoning step allocates exactly what the cell
+// path's does (the mesh adapt's own bookkeeping). The warm-up runs the
+// window once; a restore rewinds the solver and the window is replayed
+// bit for bit.
+TEST(BlockedAllocations, SteadyStateRezoneAddsNoAllocations) {
+    const SingleThread one;
+    auto replay_allocs = [](bool blocks) {
+        auto cfg = amr_config(24, 3, simd::Mode::Native, blocks,
+                              /*rezone_interval=*/1);
+        tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
+        s.initialize_dam_break({});
+        s.run(10);
+        std::stringstream ckpt(std::ios::in | std::ios::out |
+                               std::ios::binary);
+        s.write_checkpoint(ckpt);
+        const auto rewind = decltype(s)::read_checkpoint(ckpt);
+        s.run(10);
+        s.restore_checkpoint(rewind);
+        const std::uint64_t before = g_allocs.load();
+        s.run(10);
+        EXPECT_EQ(s.rezone_stats().rezones, 29u);
+        return g_allocs.load() - before;
+    };
+    EXPECT_EQ(replay_allocs(true), replay_allocs(false))
+        << "blocked rezoning steps allocated beyond the cell path";
 }
 
 // ------------------------------------------- distributed block solver
