@@ -36,7 +36,6 @@ int run(const util::ArgParser& args) {
     cfg.courant = args.get_double("courant");
     cfg.simd = util::apply_simd_option(args);
     cfg.rezone_mode = util::apply_rezone_option(args);
-    cfg.blocks = util::apply_blocks_option(args);
 
     shallow::DamBreak ic;
     ic.h_inside = args.get_double("h-inside");
@@ -55,7 +54,6 @@ int run(const util::ArgParser& args) {
         {{"precision", std::string(Policy::name)},
          {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
          {"rezone", shallow::rezone_mode_name(cfg.rezone_mode)},
-         {"blocks", shallow::blocks_mode_name(cfg.blocks)},
          {"grid", std::to_string(n)},
          {"levels", std::to_string(cfg.geom.max_level)},
          {"courant", std::to_string(cfg.courant)},
@@ -185,22 +183,17 @@ int run(const util::ArgParser& args) {
         solver.timers().total("rezone_remap"),
         solver.timers().total("rezone_cache"),
         solver.timers().total("block_index"));
-    if (cfg.blocks) {
-        const auto& bs = solver.block_index().stats();
-        std::size_t tiled_cells = 0;
-        for (const auto& t : solver.tile_blocks())
-            tiled_cells += static_cast<std::size_t>(
-                std::popcount(t.regular));
-        std::printf(
-            "blocks: %zu dense tiles (%zu cells), %zu fallback cells, "
-            "flux_sweep %.3f s, %llu blocks built over %llu index "
-            "rebuilds\n",
-            solver.tile_blocks().size(), tiled_cells,
-            solver.fallback_cells().size(),
-            solver.timers().total("flux_sweep"),
-            static_cast<unsigned long long>(bs.blocks_rebuilt),
-            static_cast<unsigned long long>(bs.rebuilds));
-    }
+    const auto& bs = solver.block_index().stats();
+    std::size_t tiled_cells = 0;
+    for (const auto& t : solver.tile_blocks())
+        tiled_cells += static_cast<std::size_t>(std::popcount(t.regular));
+    std::printf(
+        "blocks: %zu dense tiles (%zu cells), %zu fallback cells, "
+        "flux_sweep %.3f s, %llu blocks built over %llu index rebuilds\n",
+        solver.tile_blocks().size(), tiled_cells,
+        solver.fallback_cells().size(), solver.timers().total("flux_sweep"),
+        static_cast<unsigned long long>(bs.blocks_rebuilt),
+        static_cast<unsigned long long>(bs.rebuilds));
     std::printf("mass drift: %+.3e (relative)\n",
                 (solver.total_mass() - mass0) / mass0);
     if (governor.enabled()) {
@@ -267,7 +260,6 @@ int main(int argc, char** argv) {
     util::add_checkpoint_options(args);
     util::add_simd_option(args);
     util::add_rezone_option(args);
-    util::add_blocks_option(args);
     util::add_threads_option(args);
     util::add_governor_options(args);
     obs::add_obs_options(args);

@@ -186,7 +186,10 @@ int run(const util::ArgParser& args) {
     if (overlap != "on" && overlap != "off")
         throw std::invalid_argument("--overlap must be on or off");
     cfg.overlap = overlap == "on";
-    const bool blocks = util::apply_blocks_option(args);
+    const std::string blocks_mode = args.get_string("blocks");
+    if (blocks_mode != "on" && blocks_mode != "off")
+        throw std::invalid_argument("--blocks must be on or off");
+    const bool blocks = blocks_mode == "on";
 
     const int nthreads = util::apply_threads_option(args);
 
@@ -197,7 +200,7 @@ int run(const util::ArgParser& args) {
          {"grid", std::to_string(cfg.nx)},
          {"ranks", std::to_string(cfg.ranks)},
          {"overlap", overlap},
-         {"blocks", shallow::blocks_mode_name(blocks)},
+         {"blocks", blocks_mode},
          {"lb_interval", std::to_string(cfg.lb_interval)},
          {"courant", std::to_string(cfg.courant)}});
 
@@ -234,8 +237,7 @@ int main(int argc, char** argv) {
     args.add_double_option("courant", "CFL number", "0.2");
     args.add_flag("verbose", "print periodic step diagnostics");
     util::add_simd_option(args);
-    // Not util::add_blocks_option: here the flag picks the decomposition,
-    // and the row-stripe solver stays the default.
+    // The row-stripe solver stays the default decomposition.
     args.add_option("blocks",
                     "Decomposition: off (row stripes) | on (blocks); "
                     "bit-identical solutions",

@@ -30,19 +30,6 @@ inline RezoneMode parse_rezone_mode(const std::string& s) {
     return m == RezoneMode::Incremental ? "incremental" : "full";
 }
 
-/// Parse the --blocks CLI spelling ("on" | "off"); throws
-/// std::invalid_argument on anything else.
-inline bool parse_blocks_mode(const std::string& s) {
-    if (s == "on") return true;
-    if (s == "off") return false;
-    throw std::invalid_argument("blocks mode must be 'on' or 'off', got '" +
-                                s + "'");
-}
-
-[[nodiscard]] inline const char* blocks_mode_name(bool on) {
-    return on ? "on" : "off";
-}
-
 /// Solver configuration. Defaults reproduce the paper's cylindrical
 /// dam-break setup at laptop scale; the benches override sizes per table.
 struct Config {
@@ -59,10 +46,6 @@ struct Config {
                                          ///< both paths are bit-identical
     RezoneMode rezone_mode = RezoneMode::Incremental;  ///< runtime
                                          ///< --rezone=incremental|full
-    bool blocks = true;  ///< --blocks=on|off: run the flux sweep over
-                         ///< dense SoA mesh-block tiles (on, the
-                         ///< default) or the per-cell runs (off, the
-                         ///< bit-identical oracle path)
 };
 
 /// Cylindrical dam break initial condition: a column of water of height

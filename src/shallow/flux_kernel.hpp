@@ -16,13 +16,13 @@
 // compiled with -ffp-contract=off, the two instantiations are bit-identical
 // per cell — `--simd` changes instruction shape, never the physics.
 //
-// The sweep is level-bucketed: cells are binned into maximal same-level
-// Morton runs when the neighbor tables are rebuilt, and the vector driver
-// walks W-wide blocks that never straddle a run boundary. Within a block
-// the center state loads are unit-stride, the neighbor *index* loads are
-// unit-stride (slot-major tables), and only the neighbor state goes through
-// a gather; run tails use the partial ops, which replicate the last valid
-// lane so every lane computes on real, finite data.
+// The AMR sweep is blocked (DESIGN.md §13): regular cells run through
+// dense 8x8 tiles (tile_block, below), and every other cell — tile seams,
+// level interfaces, sparse tiles — through flux_block_gather, which packs
+// any W cells of a sorted fallback list. Its center and neighbor state
+// loads are gathers, its neighbor *index* loads read the slot-major
+// tables; partial packs replicate the last valid lane so every lane
+// computes on real, finite data.
 
 #include <bit>
 #include <cmath>
@@ -51,19 +51,26 @@ struct FluxArgs {
 };
 
 /// A maximal run of consecutive same-level cells (Morton order keeps
-/// same-level cells contiguous in practice, so runs are long).
+/// same-level cells contiguous in practice, so runs are long). The CFL
+/// scan iterates these to keep the per-level spacing a run constant.
 struct LevelRun {
     std::int32_t begin;
     std::int32_t end;  // one past the last cell
     std::int32_t level;
 };
 
-/// Flux update for the block of `m` cells starting at `c` (1 <= m <= W;
-/// the block never crosses a level-run boundary). Every cell evaluates its
-/// eight sub-face slots and writes only its own increments — CLAMR's
-/// scatter-free, redundant-flux trade.
+/// Flux update for the `m` cells cells[0..m) (1 <= m <= W): lane l
+/// computes cell cells[l]. Every cell evaluates its eight sub-face slots
+/// and writes only its own increments — CLAMR's scatter-free,
+/// redundant-flux trade. The arithmetic is purely per-lane, so which
+/// cells share a pack is irrelevant to the bits: the blocked sweep's
+/// fallback cells (scattered singletons at tile seams and level
+/// interfaces) ride full-width packs. Center loads and increment stores
+/// go through the list, neighbor indices through one extra per-lane
+/// table hop.
 template <typename S, typename C, int W>
-inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
+inline void flux_block_gather(const FluxArgs<S, C>& A,
+                              const std::int32_t* cells, int m) {
     using cpk = simd::pack<C, W>;
     using spk = simd::pack<S, W>;
     const bool full = m == W;
@@ -75,7 +82,8 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     const cpk hfloor = cpk::broadcast(C(1e-8));
 
     const auto load_state = [&](const S* p) {
-        const spk s = full ? spk::load(p + c) : spk::load_partial(p + c, m);
+        const spk s = full ? spk::gather(p, cells)
+                           : spk::gather_partial(p, cells, m);
         return s.template convert<C>();
     };
     const cpk hC = simd::max(load_state(A.h), hfloor);
@@ -89,13 +97,17 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     const auto side = [&]<int SLOT>() {
         constexpr bool xd = SLOT < 4;        // x-directed face
         constexpr bool pos = (SLOT & 2) != 0;  // cell is on the low side
-        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n + c;
-        const std::int32_t* idx = A.nbr + off;
-        const cpk a = full ? cpk::load(A.areas + off)
-                           : cpk::load_partial(A.areas + off, m);
+        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n;
+        // Per-lane slot index and area via the cell list (dead lanes
+        // replicate the last valid cell, exactly like gather_partial).
+        std::int32_t idx[W];
+        for (int l = 0; l < W; ++l)
+            idx[l] = A.nbr[off + static_cast<std::size_t>(
+                                     cells[l < m ? l : m - 1])];
+        const cpk a = full ? cpk::gather(A.areas + off, cells)
+                           : cpk::gather_partial(A.areas + off, cells, m);
         const auto gather_state = [&](const S* p) {
-            const spk s = full ? spk::gather(p, idx)
-                               : spk::gather_partial(p, idx, m);
+            const spk s = spk::gather(p, idx);
             return s.template convert<C>();
         };
         const cpk hN = simd::max(gather_state(A.h), hfloor);
@@ -147,111 +159,6 @@ inline void flux_block(const FluxArgs<S, C>& A, std::size_t c, int m) {
     side.template operator()<5>();
     side.template operator()<6>();
     side.template operator()<7>();
-    if (full) {
-        ddh.store(A.dh + c);
-        ddhu.store(A.dhu + c);
-        ddhv.store(A.dhv + c);
-    } else {
-        ddh.store_partial(A.dh + c, m);
-        ddhu.store_partial(A.dhu + c, m);
-        ddhv.store_partial(A.dhv + c, m);
-    }
-}
-
-/// flux_block over an arbitrary cell list: lane l computes cell cells[l].
-/// The kernel's arithmetic is purely per-lane, so which cells share a pack
-/// is irrelevant to the bits — this exists so the blocked sweep's
-/// fallback cells (scattered singletons at tile seams and level
-/// interfaces) can ride full-width packs instead of paying a whole
-/// masked pack per two-cell run. Same expressions as flux_block, token
-/// for token; only the addressing differs (center loads and increment
-/// stores go through the list, neighbor indices through one extra
-/// per-lane table hop).
-template <typename S, typename C, int W>
-inline void flux_block_gather(const FluxArgs<S, C>& A,
-                              const std::int32_t* cells, int m) {
-    using cpk = simd::pack<C, W>;
-    using spk = simd::pack<S, W>;
-    const bool full = m == W;
-
-    const cpk g = cpk::broadcast(A.gravity);
-    const cpk half = cpk::broadcast(C(0.5));
-    const cpk half_g = cpk::broadcast(C(0.5) * A.gravity);
-    const cpk one = cpk::broadcast(C(1));
-    const cpk hfloor = cpk::broadcast(C(1e-8));
-
-    const auto load_state = [&](const S* p) {
-        const spk s = full ? spk::gather(p, cells)
-                           : spk::gather_partial(p, cells, m);
-        return s.template convert<C>();
-    };
-    const cpk hC = simd::max(load_state(A.h), hfloor);
-    const cpk huC = load_state(A.hu);
-    const cpk hvC = load_state(A.hv);
-    const cpk invC = one / hC;
-    cpk ddh = cpk::broadcast(C(0));
-    cpk ddhu = cpk::broadcast(C(0));
-    cpk ddhv = cpk::broadcast(C(0));
-
-    const auto side = [&]<int SLOT>() {
-        constexpr bool xd = SLOT < 4;
-        constexpr bool pos = (SLOT & 2) != 0;
-        const std::size_t off = static_cast<std::size_t>(SLOT) * A.n;
-        // Per-lane slot index and area via the cell list (dead lanes
-        // replicate the last valid cell, exactly like gather_partial).
-        std::int32_t idx[W];
-        for (int l = 0; l < W; ++l)
-            idx[l] = A.nbr[off + static_cast<std::size_t>(
-                                     cells[l < m ? l : m - 1])];
-        const cpk a = full ? cpk::gather(A.areas + off, cells)
-                           : cpk::gather_partial(A.areas + off, cells, m);
-        const auto gather_state = [&](const S* p) {
-            const spk s = spk::gather(p, idx);
-            return s.template convert<C>();
-        };
-        const cpk hN = simd::max(gather_state(A.h), hfloor);
-        const cpk huN = gather_state(A.hu);
-        const cpk hvN = gather_state(A.hv);
-        const cpk invN = one / hN;
-        const cpk qnC = xd ? huC : hvC;
-        const cpk qtC = xd ? hvC : huC;
-        const cpk qnN = xd ? huN : hvN;
-        const cpk qtN = xd ? hvN : huN;
-        const cpk hL = pos ? hC : hN;
-        const cpk hR = pos ? hN : hC;
-        const cpk qnL = pos ? qnC : qnN;
-        const cpk qnR = pos ? qnN : qnC;
-        const cpk qtL = pos ? qtC : qtN;
-        const cpk qtR = pos ? qtN : qtC;
-        const cpk invL = pos ? invC : invN;
-        const cpk invR = pos ? invN : invC;
-        const cpk unL = qnL * invL;
-        const cpk unR = qnR * invR;
-        const cpk utL = qtL * invL;
-        const cpk utR = qtR * invR;
-        const cpk cL = simd::sqrt(g * hL);
-        const cpk cR = simd::sqrt(g * hR);
-        const cpk smax =
-            simd::max(simd::abs(unL) + cL, simd::abs(unR) + cR);
-        const cpk f1 = half * (qnL + qnR) - half * smax * (hR - hL);
-        const cpk pL = simd::fma(half_g * hL, hL, qnL * unL);
-        const cpk pR = simd::fma(half_g * hR, hR, qnR * unR);
-        const cpk f2 = half * (pL + pR) - half * smax * (qnR - qnL);
-        const cpk f3 = half * (qnL * utL + qnR * utR) -
-                       half * smax * (qtR - qtL);
-        const cpk sa = pos ? a : -a;
-        ddh = ddh - sa * f1;
-        ddhu = ddhu - sa * (xd ? f2 : f3);
-        ddhv = ddhv - sa * (xd ? f3 : f2);
-    };
-    side.template operator()<0>();
-    side.template operator()<1>();
-    side.template operator()<2>();
-    side.template operator()<3>();
-    side.template operator()<4>();
-    side.template operator()<5>();
-    side.template operator()<6>();
-    side.template operator()<7>();
     for (int l = 0; l < m; ++l) {
         const auto cell = static_cast<std::size_t>(cells[l]);
         A.dh[cell] = ddh[l];
@@ -261,30 +168,31 @@ inline void flux_block_gather(const FluxArgs<S, C>& A,
 }
 
 // --------------------------------------------------------------------------
-// Blocked AMR tile sweep — the unit-stride re-expression of the cell sweep
-// above (DESIGN.md §13). mesh::BlockIndex aggregates same-level leaves
-// into Morton-aligned 8x8 tiles with a one-cell ghost ring and a padded
-// per-position source map; the sweep gathers storage state through the
-// map into dense tiles, runs a per-position PRECOMPUTE pass (one divide +
-// one sqrt per position, the same trade as the distributed row kernels
-// below), then a fused four-face update whose every expression
-// transliterates flux_block's slot arithmetic token for token, faces
-// accumulated in slot order W, E, S, N.
+// Blocked AMR tile sweep — the unit-stride re-expression of
+// flux_block_gather above (DESIGN.md §13). mesh::BlockIndex aggregates
+// same-level leaves into Morton-aligned 8x8 tiles with a one-cell ghost
+// ring and a padded per-position source map; the sweep gathers storage
+// state through the map into dense tiles, runs a per-position PRECOMPUTE
+// pass (one divide + one sqrt per position, the same trade as the
+// distributed row kernels below), then a fused four-face update whose
+// every expression transliterates flux_block_gather's slot arithmetic
+// token for token, faces accumulated in slot order W, E, S, N.
 //
-// Bitwise contract with the cell path, per regular cell (all four
-// neighbors in-domain and same-or-coarser level): the cell path evaluates
-// exactly one slot per side with the full face width as area, L/R resolve
-// to the tile's west/east/south/north positions, and skipping the
-// zero-area slots is exact — the accumulators start at +0, a zero area
-// times any finite flux is ±0, and +0 - (±0) is +0, so the empty slots
-// never change a bit. The precomputed quantities reproduce the same bits
-// the cell path computes freshly on each side of each face (max -> if
-// identical per lane; |u| via ternary differs from simd::abs only at -0,
-// which + c > 0 erases; the pressure fma is std::fma, the same correctly
-// rounded operation as simd::fma). Irregular cells are computed by
-// flux_block over fallback runs. W is again only a symbol tag: W == 1
-// lives in the no-autovec TU (flux_scalar.cpp), W == native in the
-// -ffp-contract=off solver TU where the annotated loops vectorize.
+// Bitwise contract with the per-cell kernel, per regular cell (all four
+// neighbors in-domain and same-or-coarser level): flux_block_gather
+// evaluates exactly one slot per side with the full face width as area,
+// L/R resolve to the tile's west/east/south/north positions, and skipping
+// the zero-area slots is exact — the accumulators start at +0, a zero
+// area times any finite flux is ±0, and +0 - (±0) is +0, so the empty
+// slots never change a bit. The precomputed quantities reproduce the same
+// bits the per-cell kernel computes freshly on each side of each face
+// (max -> if identical per lane; |u| via ternary differs from simd::abs
+// only at -0, which + c > 0 erases; the pressure fma is std::fma, the
+// same correctly rounded operation as simd::fma). Irregular cells are
+// computed by flux_block_gather over the fallback list. W is again only a
+// symbol tag: W == 1 lives in the no-autovec TU (flux_scalar.cpp), W ==
+// native in the -ffp-contract=off solver TU where the annotated loops
+// vectorize.
 
 inline constexpr int kTileSize = 8;  // == mesh::kBlockSize; solver.cpp
 inline constexpr int kTilePad = kTileSize + 2;  // static_asserts the match
@@ -316,8 +224,8 @@ struct TileSweepArgs {
 };
 
 /// Gather, precompute, and sweep one tile; scatter increments for the
-/// regular members only (irregular members are someone else's fallback
-/// run). ~11 KB of stack scratch per call — no heap, no sharing.
+/// regular members only (irregular members are on the fallback list).
+/// ~11 KB of stack scratch per call — no heap, no sharing.
 template <typename S, typename C, int W>
 inline void tile_block(const TileSweepArgs<S, C>& A, const TileBlock<C>& B) {
     const C g = A.gravity;

@@ -35,7 +35,7 @@ constexpr std::uint64_t kCflFlopsPerCell = 12;
 // hard-coded per-cell op proxies.
 
 // Double-precision shadow reference for one cell of the Rusanov sweep:
-// the same operation sequence as flux_kernel.hpp's flux_block (slot
+// the same operation sequence as flux_kernel.hpp's flux_block_gather (slot
 // order, the lone fma, the hfloor clamps), but every intermediate in
 // double and the gravity constant unrounded. Against this, the
 // production increments' divergence is exactly the rounding the policy's
@@ -200,7 +200,7 @@ void ShallowWaterSolver<Policy>::resolve_cell_side(std::int32_t c, int base,
 }
 
 // Shared tail of every cache builder: per-level inverse areas, increment
-// buffer sizing, and the level-bucketed iteration space.
+// buffer sizing, and the same-level runs the CFL scan iterates.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     const std::size_t n = mesh_.num_cells();
@@ -229,10 +229,8 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     for (std::int64_t c = 0; c < ni; ++c)
         inv[c] = inv_by_level[static_cast<std::size_t>(cell[c].level)];
 
-    // Level-bucketed iteration space: maximal runs of consecutive
-    // same-level cells (the Morton order keeps same-level cells contiguous,
-    // so runs are long), then pack-wide blocks that never straddle a run
-    // boundary. The native sweep parallelizes over blocks; compute_dt
+    // Maximal runs of consecutive same-level cells (the Morton order keeps
+    // same-level cells contiguous, so runs are long): compute_dt
     // broadcasts the per-level spacing per run, keeping its inner loop
     // gather-free. clear() + push_back reuses capacity across rezones.
     level_runs_.clear();
@@ -244,17 +242,12 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
                                cells[c].level});
         c = e;
     }
-    flux_blocks_.clear();
-    for (const detail::LevelRun& run : level_runs_)
-        for (std::int32_t b = run.begin; b < run.end; b += kNativeLanes)
-            flux_blocks_.push_back(
-                {b, std::min<std::int32_t>(kNativeLanes, run.end - b)});
     // The block index and the alt-precision tables mirror the tables
     // rebuilt above. A rezone rebuilds the blocks right away; after
     // construction or a restart they wait for the first step, so a solver
     // that is only restored never builds them. The alt tables are
     // refreshed on the next governed sweep that needs them.
-    blocks_stale_ = config_.blocks;
+    blocks_stale_ = true;
     alt_tables_stale_ = true;
 }
 
@@ -809,7 +802,7 @@ void ShallowWaterSolver<Policy>::rezone() {
             rebuild_topology_caches_facescan();
             resolved = new_cells;
         }
-        if (blocks_stale_) rebuild_blocks();
+        rebuild_blocks();
     }
     const double s_cache = t.elapsed_seconds();
     const std::uint64_t cache_bytes =
@@ -943,23 +936,6 @@ ShallowWaterSolver<Policy>::flux_args() {
             static_cast<compute_t>(config_.gravity)};
 }
 
-// Each block writes only its own cells' increments, so the sweep threads
-// with no synchronization, and the per-cell arithmetic is independent of
-// which thread runs the block — the result is identical at any team size.
-// The scalar twin (flux_sweep_scalar) lives in flux_scalar.cpp, compiled
-// with the auto-vectorizer off; it instantiates the same flux_block<> at
-// W = 1, so the two paths differ only in instruction shape.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_native() {
-    const auto args = flux_args();
-    const FluxBlock* blocks = flux_blocks_.data();
-    const auto nb = static_cast<std::int64_t>(flux_blocks_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nb; ++b)
-        detail::flux_block<storage_t, compute_t, kNativeLanes>(
-            args, static_cast<std::size_t>(blocks[b].begin), blocks[b].len);
-}
-
 template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::tile_args()
     -> detail::TileSweepArgs<storage_t, compute_t> {
@@ -969,14 +945,19 @@ auto ShallowWaterSolver<Policy>::tile_args()
             static_cast<compute_t>(config_.gravity)};
 }
 
-// Blocked sweep (--blocks=on): dense unit-stride tiles for the regular
-// cells, flux_block over the fallback runs for the rest — together they
-// cover every cell exactly once, with the same store-only increment
-// writes as the cell sweeps, so the boundary closure, cell update, shadow
-// hooks, and governor monitor are shared untouched. The scalar twin
-// (flux_sweep_blocked_scalar) lives in flux_scalar.cpp.
+// The flux sweep: dense unit-stride tiles for the regular cells,
+// flux_block_gather over the fallback list for the rest — together they
+// cover every cell exactly once, and every cell's increments are stored
+// (not accumulated) by the one kernel that computes it, so the boundary
+// closure, cell update, shadow hooks, and governor monitor see plain
+// per-cell increments. Each tile and each fallback pack writes only its
+// own cells, so the sweep threads with no synchronization and the result
+// is identical at any team size. The scalar twin (flux_sweep_scalar)
+// lives in flux_scalar.cpp, compiled with the auto-vectorizer off; it
+// instantiates the same templates at W = 1, so the two paths differ only
+// in instruction shape.
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_native() {
+void ShallowWaterSolver<Policy>::flux_sweep_native() {
     const auto targs = tile_args();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -994,7 +975,7 @@ void ShallowWaterSolver<Policy>::flux_sweep_blocked_native() {
 }
 
 // --- governed flux path (fp/governor.hpp) ---------------------------------
-// The same width-templated flux_block, instantiated at the *other* compute
+// The same width-templated sweep, instantiated at the *other* compute
 // precision. Increments land in the _alt buffers and are folded back into
 // dh_/dhu_/dhv_ with one cast per cell, so the boundary closure and the
 // cell update are shared with the static path. A detached or disabled
@@ -1023,7 +1004,7 @@ template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::prepare_alt_tables() {
     if (!alt_tables_stale_) return;
     const std::size_t n = mesh_.num_cells();
-    // flux_block stores (not accumulates) each cell's increments, so the
+    // The sweep stores (not accumulates) each cell's increments, so the
     // buffers need sizing only — every entry is overwritten by the sweep.
     dh_alt_.resize(n);
     dhu_alt_.resize(n);
@@ -1039,23 +1020,13 @@ void ShallowWaterSolver<Policy>::prepare_alt_tables() {
 #pragma omp parallel for simd schedule(static)
     for (std::int64_t i = 0; i < na; ++i)
         dst[i] = static_cast<alt_compute_t>(src[i]);
-    // The blocked sweep reuses the tiles, face widths double-cast through
-    // compute_t exactly like the alt slot areas above. The cell sweep
-    // packs at the alt lattice's native width (float sweeps get twice the
-    // lanes of double sweeps, same as the static paths).
+    // The tiles are shared, face widths double-cast through compute_t
+    // exactly like the alt slot areas above.
     tile_blocks_alt_.clear();
-    flux_blocks_alt_.clear();
-    if (config_.blocks) {
-        for (const auto& t : tile_blocks_)
-            tile_blocks_alt_.push_back({t.src, t.regular,
-                                        static_cast<alt_compute_t>(t.wx),
-                                        static_cast<alt_compute_t>(t.wy)});
-    } else {
-        for (const detail::LevelRun& run : level_runs_)
-            for (std::int32_t b = run.begin; b < run.end; b += kAltLanes)
-                flux_blocks_alt_.push_back(
-                    {b, std::min<std::int32_t>(kAltLanes, run.end - b)});
-    }
+    for (const auto& t : tile_blocks_)
+        tile_blocks_alt_.push_back({t.src, t.regular,
+                                    static_cast<alt_compute_t>(t.wx),
+                                    static_cast<alt_compute_t>(t.wy)});
     alt_tables_stale_ = false;
 }
 
@@ -1077,17 +1048,6 @@ void ShallowWaterSolver<Policy>::fold_alt_increments() {
 }
 
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_alt_native() {
-    const auto args = flux_args_alt();
-    const FluxBlock* blocks = flux_blocks_alt_.data();
-    const auto nb = static_cast<std::int64_t>(flux_blocks_alt_.size());
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nb; ++b)
-        detail::flux_block<storage_t, alt_compute_t, kAltLanes>(
-            args, static_cast<std::size_t>(blocks[b].begin), blocks[b].len);
-}
-
-template <fp::PrecisionPolicy Policy>
 auto ShallowWaterSolver<Policy>::tile_args_alt()
     -> detail::TileSweepArgs<storage_t, alt_compute_t> {
     return {h_.data(),      hu_.data(),      hv_.data(),
@@ -1097,7 +1057,7 @@ auto ShallowWaterSolver<Policy>::tile_args_alt()
 }
 
 template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::flux_sweep_blocked_alt_native() {
+void ShallowWaterSolver<Policy>::flux_sweep_alt_native() {
     const auto targs = tile_args_alt();
     const auto nt = static_cast<std::int64_t>(targs.nblocks);
 #pragma omp parallel for schedule(static)
@@ -1388,31 +1348,18 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
                      std::is_same_v<compute_t, float>);
     {
         TP_OBS_SPAN("clamr.flux_sweep");
-        // The sweep alone gets its own timer ("flux_sweep") so the
-        // blocked-vs-cell speedup is measurable without the boundary
-        // closure, shadow hooks, and update diluting it.
+        // The sweep alone gets its own timer ("flux_sweep") so its
+        // throughput is measurable without the boundary closure, shadow
+        // hooks, and update diluting it.
         util::WallTimer t_sweep;
-        const bool blocked = config_.blocks;
         if (use_alt) {
             prepare_alt_tables();
-            if (blocked) {
-                if (native) {
-                    flux_sweep_blocked_alt_native();
-                } else {
-                    flux_sweep_blocked_alt_scalar();
-                }
-            } else if (native) {
+            if (native) {
                 flux_sweep_alt_native();
             } else {
                 flux_sweep_alt_scalar();
             }
             fold_alt_increments();
-        } else if (blocked) {
-            if (native) {
-                flux_sweep_blocked_native();
-            } else {
-                flux_sweep_blocked_scalar();
-            }
         } else if (native) {
             flux_sweep_native();
         } else {
@@ -1421,7 +1368,7 @@ void ShallowWaterSolver<Policy>::finite_diff(double dt) {
         timers_.add("flux_sweep", t_sweep.elapsed_seconds());
         // Shadow the pure sweep increments before the boundary closure
         // touches them — every sampled cell's dh/dhu/dhv is then exactly
-        // one flux_block evaluation, which is what the double reference
+        // one kernel evaluation, which is what the double reference
         // replicates.
         if (obs::shadow_kernel_active("clamr.flux_sweep"))
             shadow_profile_flux_sweep();

@@ -16,8 +16,9 @@
 // itself — followed by the conservative cell update. Both adjacent cells
 // evaluate the identical flux expression for a shared face, so the scheme
 // stays exactly conservative while the loop carries no scatter
-// dependencies. The sweep is one width-templated pack kernel
-// (flux_kernel.hpp): the W == 1 instantiation, driven from a translation
+// dependencies. The sweep runs over dense 8x8 mesh-block tiles plus a
+// per-cell fallback list (flux_kernel.hpp, DESIGN.md §13), both
+// width-templated: the W == 1 instantiation, driven from a translation
 // unit with the auto-vectorizer disabled, is the paper's scalar baseline;
 // the W == native_lanes instantiation is the vector path. The two are
 // bit-identical per cell, selected at runtime by Config::simd
@@ -95,7 +96,7 @@ public:
     /// float-compute policy can be promoted to a double flux sweep mid-run
     /// and a double-compute policy can be demoted to float. Storage
     /// precision never changes — only the kernel-local arithmetic does, so
-    /// switching is just dispatching the other flux_block instantiation.
+    /// switching is just dispatching the other kernel instantiation.
     using alt_compute_t =
         std::conditional_t<std::is_same_v<compute_t, float>, double, float>;
     static constexpr int kAltLanes = simd::native_lanes<alt_compute_t>;
@@ -182,20 +183,19 @@ public:
         return timers_;
     }
 
-    /// Same-level Morton runs the level-bucketed sweeps iterate (rebuilt on
-    /// every topology change; exposed for the SIMD binning tests).
+    /// Same-level Morton runs the CFL scan iterates (rebuilt on every
+    /// topology change; exposed for the SIMD binning tests).
     [[nodiscard]] const std::vector<detail::LevelRun>& level_runs() const {
         return level_runs_;
     }
 
-    /// Block index driving the --blocks=on tile sweep (empty while blocks
-    /// are off). Current as of the last step: built by every rezone and
-    /// by the first step after construction or a restart. Exposed for the
-    /// block-lifecycle tests.
+    /// Block index driving the tile sweep. Current as of the last step:
+    /// built by every rezone and by the first step after construction or
+    /// a restart. Exposed for the block-lifecycle tests.
     [[nodiscard]] const mesh::BlockIndex& block_index() const {
         return block_index_;
     }
-    /// Dense tiles the blocked sweep computes, plus the fallback cell
+    /// Dense tiles the flux sweep computes, plus the fallback cell
     /// list covering every cell the tiles leave irregular. Exposed for
     /// tests.
     [[nodiscard]] const std::vector<detail::TileBlock<compute_t>>&
@@ -254,13 +254,6 @@ public:
     }
 
 private:
-    /// A W-wide (or tail) slice of one level run — the unit the native
-    /// sweep parallelizes over. Blocks never straddle a run boundary.
-    struct FluxBlock {
-        std::int32_t begin;
-        std::int32_t len;  // 1 <= len <= kNativeLanes
-    };
-
     void apply_ic(const DamBreak& ic);
     /// Scatter-free threaded flags: each cell takes the max relative
     /// height jump over its own neighbor slots (every interior face
@@ -289,30 +282,24 @@ private:
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.
     std::size_t update_topology_caches(const mesh::RemapPlan& plan);
-    /// Rebuild level_runs_/flux_blocks_/inv_area_ and size the increment
-    /// buffers for the current mesh (shared tail of every cache builder).
+    /// Rebuild level_runs_/inv_area_ and size the increment buffers for
+    /// the current mesh (shared tail of every cache builder).
     void rebuild_iteration_space();
     [[nodiscard]] double compute_dt();
     void finite_diff(double dt);
     [[nodiscard]] detail::FluxArgs<storage_t, compute_t> flux_args();
-    void flux_sweep_native();
-    // Defined in flux_scalar.cpp, a TU compiled with the auto-vectorizer
-    // off, so the W == 1 path measures true scalar issue.
-    void flux_sweep_scalar();
     /// Rebuild block_index_ from the slot tables, then tile_blocks_ and
-    /// fallback_cells_ from it — the tail of every topology-cache refresh
-    /// while blocks are on.
+    /// fallback_cells_ from it — the tail of every topology-cache refresh.
     void rebuild_blocks();
     [[nodiscard]] detail::TileSweepArgs<storage_t, compute_t> tile_args();
     [[nodiscard]] detail::TileSweepArgs<storage_t, alt_compute_t>
     tile_args_alt();
-    // Blocked (--blocks=on) sweeps: dense tiles + flux_block_gather over
-    // the fallback cells; bit-identical to the cell sweeps per policy.
-    // Scalar variants live in flux_scalar.cpp (no-autovec TU).
-    void flux_sweep_blocked_native();
-    void flux_sweep_blocked_scalar();
-    void flux_sweep_blocked_alt_native();
-    void flux_sweep_blocked_alt_scalar();
+    // The flux sweep: dense tiles + flux_block_gather over the fallback
+    // cells. The scalar variants are defined in flux_scalar.cpp, a TU
+    // compiled with the auto-vectorizer off, so the W == 1 path measures
+    // true scalar issue.
+    void flux_sweep_native();
+    void flux_sweep_scalar();
     // Governed flux path: the same sweep with kernel-local arithmetic in
     // alt_compute_t. Increments land in the _alt buffers and are folded
     // back into dh_/dhu_/dhv_ (one cast per cell), so boundary_fluxes and
@@ -320,8 +307,8 @@ private:
     [[nodiscard]] detail::FluxArgs<storage_t, alt_compute_t> flux_args_alt();
     void flux_sweep_alt_native();
     void flux_sweep_alt_scalar();  // flux_scalar.cpp (no-autovec TU)
-    /// Lazily (re)build the alt-precision tables — neighbor areas cast to
-    /// alt_compute_t and kAltLanes-wide blocks — after a topology change.
+    /// Lazily (re)build the alt-precision tables — neighbor areas and tile
+    /// face widths cast to alt_compute_t — after a topology change.
     void prepare_alt_tables();
     void fold_alt_increments();
     /// Governor telemetry: observe a strided sample of flux increments on
@@ -367,19 +354,17 @@ private:
     std::vector<compute_t> nbr_area_back_;
     std::vector<std::int32_t> old_to_new_;
     std::vector<std::uint8_t> slot_dirty_;  // per-cell "needs resolve" flag
-    // Level-bucketed iteration space (rebuilt with the neighbor tables).
+    // Same-level runs for the CFL scan (rebuilt with the neighbor tables).
     std::vector<detail::LevelRun> level_runs_;
-    std::vector<FluxBlock> flux_blocks_;
-    // Blocked-sweep state (--blocks=on; all empty otherwise): the mesh
-    // block index, the dense tiles the sweep computes (compute_t and
-    // governed-alt area variants), and the sorted list of cells the
-    // tiles leave to the flux_block_gather fallback (packed W to a
-    // gather, so scattered singletons cost ~1/W of a pack each instead
-    // of a whole masked pack per run). A tile with fewer than
-    // kMinTileRegular dense cells is not worth gathering, so all its
-    // members join the fallback instead — a topology-only decision, so
-    // every simd/alt variant sees the same iteration space
-    // (kMinTileRegular, declared with the accessors above).
+    // Flux-sweep iteration space: the mesh block index, the dense tiles
+    // the sweep computes (compute_t and governed-alt area variants), and
+    // the sorted list of cells the tiles leave to the flux_block_gather
+    // fallback (packed W to a gather, so scattered singletons cost ~1/W
+    // of a pack each). A tile with fewer than kMinTileRegular dense cells
+    // is not worth gathering, so all its members join the fallback
+    // instead — a topology-only decision, so every simd/alt variant sees
+    // the same iteration space (kMinTileRegular, declared with the
+    // accessors above).
     mesh::BlockIndex block_index_;
     std::vector<detail::TileBlock<compute_t>> tile_blocks_;
     std::vector<detail::TileBlock<alt_compute_t>> tile_blocks_alt_;
@@ -387,13 +372,12 @@ private:
     std::vector<std::uint8_t> fallback_flag_;
     bool blocks_stale_ = false;  // block state lags the topology tables
     // Governed-path state: alt-precision increment buffers, neighbor areas
-    // and pack blocks, built lazily on the first governed step after a
-    // topology change. Empty whenever no enabled governor is attached.
+    // and tiles, built lazily on the first governed step after a topology
+    // change. Empty whenever no enabled governor is attached.
     fp::PrecisionGovernor* governor_ = nullptr;
     int gov_flux_id_ = -1;
     std::vector<alt_compute_t> dh_alt_, dhu_alt_, dhv_alt_;
     std::vector<alt_compute_t> nbr_area_alt_;
-    std::vector<FluxBlock> flux_blocks_alt_;
     bool alt_tables_stale_ = true;
     std::vector<compute_t> cfl_buf_;       // per-cell dt candidates
     std::vector<std::int8_t> flags_scratch_;  // refinement flags, reused

@@ -214,18 +214,6 @@ shallow::RezoneMode apply_rezone_option(const ArgParser& args) {
     return shallow::parse_rezone_mode(args.get_string("rezone"));
 }
 
-void add_blocks_option(ArgParser& args) {
-    args.add_option("blocks",
-                    "Flux sweep iteration space: on|off. On runs the "
-                    "sweep over dense SoA mesh-block tiles; off runs the "
-                    "per-cell path (bit-identical solutions)",
-                    "on");
-}
-
-bool apply_blocks_option(const ArgParser& args) {
-    return shallow::parse_blocks_mode(args.get_string("blocks"));
-}
-
 void add_checkpoint_options(ArgParser& args) {
     args.add_option("checkpoint",
                     "Checkpoint path prefix; empty disables checkpoint "

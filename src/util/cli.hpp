@@ -100,14 +100,6 @@ void add_rezone_option(ArgParser& args);
 /// Parse the `--rezone` value; throws std::invalid_argument on junk.
 [[nodiscard]] shallow::RezoneMode apply_rezone_option(const ArgParser& args);
 
-/// Register the standard `--blocks on|off` option selecting whether the
-/// flux sweep runs over dense SoA mesh-block tiles (`on`, the default)
-/// or the per-cell path (`off`); solutions are bit-identical.
-void add_blocks_option(ArgParser& args);
-
-/// Parse the `--blocks` value; throws std::invalid_argument on junk.
-[[nodiscard]] bool apply_blocks_option(const ArgParser& args);
-
 /// Register the standard checkpoint options: `--checkpoint <path>` (empty
 /// disables), `--checkpoint-interval <steps>` (0 = final state only),
 /// `--checkpoint-compress off|drift|<bits>` (format v1 vs error-bounded

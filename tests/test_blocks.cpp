@@ -2,11 +2,11 @@
 // binary: the zero-steady-state-allocation guarantee of the blocked flux
 // sweep and of the block-distributed solver is checked with a global
 // operator-new counter (counters can't share a process with test_dist's),
-// plus the blocked-vs-cell bitwise matrix, the BlockIndex lifecycle
-// across rezones, the fill-mask/fallback partition invariant, the
-// distributed block solver's decomposition-invariance matrix against the
-// row-stripe solver, the per-phase halo byte accounting, and whole-block
-// load balancing.
+// plus the frozen checkpoint digests the flux sweep must reproduce, the
+// BlockIndex lifecycle across rezones, the fill-mask/fallback partition
+// invariant, the distributed block solver's decomposition-invariance
+// matrix against the row-stripe solver, the per-phase halo byte
+// accounting, and whole-block load balancing.
 
 #include <gtest/gtest.h>
 
@@ -50,12 +50,11 @@ void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
-tsh::Config amr_config(int n, int levels, simd::Mode mode, bool blocks,
+tsh::Config amr_config(int n, int levels, simd::Mode mode,
                        int rezone_interval = 4) {
     tsh::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, n, n, levels};
     cfg.simd = mode;
-    cfg.blocks = blocks;
     cfg.rezone_interval = rezone_interval;
     return cfg;
 }
@@ -79,53 +78,15 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
     return std::move(os).str();
 }
 
-// --------------------------------------------- blocked-vs-cell bitwise
-
-// The tile sweep groups cells into dense unit-stride blocks and the
-// fallback list into gathered packs, but every lane still evaluates the
-// identical per-cell flux expression — so for every policy, SIMD shape,
-// and grid (rezoning throughout), the checkpoint must match the cell
-// path's to the last bit.
-template <typename Policy>
-void blocked_matches_cell_matrix() {
-    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
-        for (const int grid : {12, 16, 24}) {
-            const int levels = grid <= 16 ? 3 : 2;
-            const int steps = 30;
-            const auto cell = checkpoint_after<Policy>(
-                amr_config(grid, levels, mode, false), steps);
-            const auto blocked = checkpoint_after<Policy>(
-                amr_config(grid, levels, mode, true), steps);
-            EXPECT_EQ(blocked, cell)
-                << "grid " << grid << ", native="
-                << (mode == simd::Mode::Native);
-        }
-    }
-}
-
-TEST(BlockedSweepBitwise, MinimumPrecision) {
-    blocked_matches_cell_matrix<fp::MinimumPrecision>();
-}
-TEST(BlockedSweepBitwise, MixedPrecision) {
-    blocked_matches_cell_matrix<fp::MixedPrecision>();
-}
-TEST(BlockedSweepBitwise, FullPrecision) {
-    blocked_matches_cell_matrix<fp::FullPrecision>();
-}
-TEST(BlockedSweepBitwise, HalfStoragePrecision) {
-    blocked_matches_cell_matrix<fp::HalfStoragePrecision>();
-}
-
 // ------------------------------------------- frozen cell-path digests
 
-// tools/baselines/cell_path_digests.txt freezes the cell path's
-// (blocks = false) checkpoint for every configuration the blocked-vs-cell
-// gates compare: the matrix above (rezone every 4, 30 steps) and
-// bench/table_block_amr's (rezone every 2, 30 steps; 16 steps on its
-// --quick grids). The default path must reproduce every one, so the gate
-// keeps its strength once the cell path is gone; while the cell path
-// exists it is held to the same file. A missing or different entry is
-// reported as the line the run produced.
+// tools/baselines/cell_path_digests.txt freezes the checkpoints of the
+// retired per-cell flux sweep — the bit-identical oracle the tile sweep
+// was checked against while both existed — for every policy, SIMD shape
+// and grid those gates compared (rezone every 4, 30 steps; rezone every
+// 2, 30 steps; 16 steps on the small grids). The flux sweep must still
+// reproduce every one, rezoning throughout. A missing or different entry
+// is reported as the line the run produced.
 
 std::uint64_t fnv1a64(const std::string& bytes) {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -159,7 +120,6 @@ template <typename Policy>
 void reproduces_frozen_digests() {
     const SingleThread one;
     const auto frozen = read_frozen_digests();
-    ASSERT_TRUE(tsh::Config{}.blocks) << "blocks are the default path";
     struct Run {
         int rezone_interval, steps;
         bool quick_grids_only;
@@ -178,19 +138,14 @@ void reproduces_frozen_digests() {
                 const auto it = frozen.find(key.str());
                 const std::string want =
                     it == frozen.end() ? "(missing)" : it->second;
-                // The default path, then the cell path.
-                for (const bool blocks : {tsh::Config{}.blocks, false}) {
-                    const auto ckpt = checkpoint_after<Policy>(
-                        amr_config(grid, levels, mode, blocks,
-                                   run.rezone_interval),
-                        run.steps);
-                    std::ostringstream got;
-                    got << ckpt.size() << ' ' << std::hex << std::setw(16)
-                        << std::setfill('0') << fnv1a64(ckpt);
-                    EXPECT_EQ(got.str(), want)
-                        << (blocks ? "default" : "cell") << " path produced: "
-                        << key.str() << ' ' << got.str();
-                }
+                const auto ckpt = checkpoint_after<Policy>(
+                    amr_config(grid, levels, mode, run.rezone_interval),
+                    run.steps);
+                std::ostringstream got;
+                got << ckpt.size() << ' ' << std::hex << std::setw(16)
+                    << std::setfill('0') << fnv1a64(ckpt);
+                EXPECT_EQ(got.str(), want)
+                    << "produced: " << key.str() << ' ' << got.str();
             }
         }
     }
@@ -220,8 +175,7 @@ TEST(CellPathDigests, HalfStoragePrecision) {
 template <typename Policy>
 void index_matches_oracle_every_rezone(tsh::RezoneMode mode) {
     const SingleThread one;
-    auto cfg = amr_config(24, 3, simd::Mode::Native, true,
-                          /*rezone_interval=*/1);
+    auto cfg = amr_config(24, 3, simd::Mode::Native, /*rezone_interval=*/1);
     cfg.rezone_mode = mode;
     tsh::ShallowWaterSolver<Policy> s(cfg);
     s.initialize_dam_break({});
@@ -257,8 +211,7 @@ TEST(BlockIndex, MatchesMeshOracleAfterEveryRezone) {
 // list plus fallback cells partition the mesh (every cell computed
 // exactly once per sweep).
 TEST(BlockIndex, MasksAndFallbackPartitionTheMesh) {
-    auto cfg = amr_config(16, 3, simd::Mode::Native, true,
-                          /*rezone_interval=*/3);
+    auto cfg = amr_config(16, 3, simd::Mode::Native, /*rezone_interval=*/3);
     tsh::ShallowWaterSolver<fp::FullPrecision> s(cfg);
     s.initialize_dam_break({});
     s.run(25);
@@ -329,10 +282,9 @@ TEST(BlockIndex, MasksAndFallbackPartitionTheMesh) {
 
 // With rezoning disabled the blocked sweep's steady state — gather,
 // tile kernels, fallback packs, scatter — must perform zero heap
-// allocations, exactly like the cell path it replaces.
+// allocations.
 TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
-    auto cfg = amr_config(24, 2, simd::Mode::Native, true,
-                          /*rezone_interval=*/0);
+    auto cfg = amr_config(24, 2, simd::Mode::Native, /*rezone_interval=*/0);
     tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
     s.initialize_dam_break({});
     s.run(3);  // warm every lazy scratch buffer
@@ -343,32 +295,51 @@ TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
 }
 
 // Rezoning steps: once a warm-up has seen every mesh the measured steps
-// will see, the block index rebuild and the tile lists run on reused
-// capacity, so a blocked rezoning step allocates exactly what the cell
-// path's does (the mesh adapt's own bookkeeping). The warm-up runs the
-// window once; a restore rewinds the solver and the window is replayed
-// bit for bit.
+// will see, rebuilding the block index, the dense-tile list and the
+// fallback list runs on reused capacity. The meshes come from a rezoning
+// run, captured as checkpoints; a second solver that never rezones
+// restores them in turn, and the step after each restore rebuilds every
+// block structure for that mesh and then sweeps it (the sweep itself is
+// allocation-free, per the test above). The first pass over the window
+// warms the buffers; the replayed pass must not allocate at all.
 TEST(BlockedAllocations, SteadyStateRezoneAddsNoAllocations) {
     const SingleThread one;
-    auto replay_allocs = [](bool blocks) {
-        auto cfg = amr_config(24, 3, simd::Mode::Native, blocks,
-                              /*rezone_interval=*/1);
-        tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
+    using Solver = tsh::ShallowWaterSolver<fp::MixedPrecision>;
+    std::vector<tsh::CheckpointData> window;
+    {
+        Solver s(amr_config(24, 3, simd::Mode::Native, /*rezone_interval=*/1));
         s.initialize_dam_break({});
         s.run(10);
-        std::stringstream ckpt(std::ios::in | std::ios::out |
-                               std::ios::binary);
-        s.write_checkpoint(ckpt);
-        const auto rewind = decltype(s)::read_checkpoint(ckpt);
-        s.run(10);
-        s.restore_checkpoint(rewind);
-        const std::uint64_t before = g_allocs.load();
-        s.run(10);
-        EXPECT_EQ(s.rezone_stats().rezones, 29u);
-        return g_allocs.load() - before;
-    };
-    EXPECT_EQ(replay_allocs(true), replay_allocs(false))
-        << "blocked rezoning steps allocated beyond the cell path";
+        for (int k = 0; k < 10; ++k) {
+            s.step();
+            std::stringstream ckpt(std::ios::in | std::ios::out |
+                                   std::ios::binary);
+            s.write_checkpoint(ckpt);
+            window.push_back(Solver::read_checkpoint(ckpt));
+        }
+        EXPECT_EQ(s.rezone_stats().rezones, 19u);
+    }
+    std::size_t topology_changes = 0;
+    for (std::size_t k = 1; k < window.size(); ++k)
+        topology_changes +=
+            window[k].cells.size() != window[k - 1].cells.size();
+    EXPECT_GT(topology_changes, 3u);  // the replay sees a moving mesh
+
+    Solver s(amr_config(24, 3, simd::Mode::Native, /*rezone_interval=*/0));
+    s.initialize_dam_break({});
+    std::uint64_t replayed = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (const auto& d : window) {
+            s.restore_checkpoint(d);
+            const std::uint64_t rebuilds = s.block_index().stats().rebuilds;
+            const std::uint64_t before = g_allocs.load();
+            s.step();
+            if (pass == 1) replayed += g_allocs.load() - before;
+            ASSERT_EQ(s.block_index().stats().rebuilds, rebuilds + 1);
+        }
+    }
+    EXPECT_EQ(replayed, 0u)
+        << "rebuilding the block structures allocated on a replayed mesh";
 }
 
 // ------------------------------------------- distributed block solver

@@ -172,7 +172,7 @@ std::string clamr_bits(tsi::Mode mode, int levels, int rezone_interval = 4,
     s.initialize_dam_break({});
     s.run(25);
     // Level-run invariants while we are here: runs tile [0, num_cells)
-    // and never mix levels (the blocked flux sweep depends on this).
+    // and never mix levels (the CFL scan depends on this).
     std::size_t covered = 0;
     for (const auto& run : s.level_runs()) {
         EXPECT_EQ(static_cast<std::size_t>(run.begin), covered);
@@ -208,7 +208,7 @@ TEST(SimdEquivalence, ClamrAllPoliciesBitIdentical) {
               clamr_bits<tp::fp::MixedPrecision>(tsi::Mode::Native, 2));
     EXPECT_EQ(clamr_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, 2),
               clamr_bits<tp::fp::FullPrecision>(tsi::Mode::Native, 2));
-    // Uniform grid too (single level-run, no tail blocks at W | n).
+    // Shallower refinement too (max_level 1).
     EXPECT_EQ(clamr_bits<tp::fp::FullPrecision>(tsi::Mode::Scalar, 1),
               clamr_bits<tp::fp::FullPrecision>(tsi::Mode::Native, 1));
 }
