@@ -8,8 +8,10 @@
 //     enforcing the 2:1 level balance CLAMR relies on;
 //   * hand the solver a RemapPlan describing how to carry state across an
 //     adapt step;
-//   * build interior face lists (x- and y-directed) and boundary face
-//     lists for finite-volume flux sweeps;
+//   * build boundary face lists for the finite-volume flux sweep, and
+//     (lazily) interior face lists (x- and y-directed) — no flux sweep
+//     or rezone reads those; check_invariants and the solver's
+//     topology-cache test oracle do;
 //   * answer point-location queries for line-cut sampling.
 //
 // The mesh is geometry + topology only: it knows nothing about physical

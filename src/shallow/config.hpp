@@ -1,34 +1,10 @@
 #pragma once
 // Configuration types for the CLAMR-analogue shallow-water mini-app.
 
-#include <stdexcept>
-#include <string>
-
 #include "mesh/amr_mesh.hpp"
 #include "simd/dispatch.hpp"
 
 namespace tp::shallow {
-
-/// How the solver refreshes its topology caches after an AMR adapt.
-/// Both modes produce bit-identical solutions; Full exists as the
-/// measured baseline the incremental pipeline is benchmarked against.
-enum class RezoneMode {
-    Incremental,  ///< dirty-span cache update + threaded slot resolve
-    Full,         ///< historic path: face-scan rebuild of every cache
-};
-
-/// Parse the CLI spelling ("incremental" | "full"); throws
-/// std::invalid_argument on anything else.
-inline RezoneMode parse_rezone_mode(const std::string& s) {
-    if (s == "incremental") return RezoneMode::Incremental;
-    if (s == "full") return RezoneMode::Full;
-    throw std::invalid_argument(
-        "rezone mode must be 'incremental' or 'full', got '" + s + "'");
-}
-
-[[nodiscard]] inline const char* rezone_mode_name(RezoneMode m) {
-    return m == RezoneMode::Incremental ? "incremental" : "full";
-}
 
 /// Solver configuration. Defaults reproduce the paper's cylindrical
 /// dam-break setup at laptop scale; the benches override sizes per table.
@@ -44,8 +20,6 @@ struct Config {
                                          ///< finite_diff kernel (runtime
                                          ///< --simd=auto|scalar|native);
                                          ///< both paths are bit-identical
-    RezoneMode rezone_mode = RezoneMode::Incremental;  ///< runtime
-                                         ///< --rezone=incremental|full
 };
 
 /// Cylindrical dam break initial condition: a column of water of height

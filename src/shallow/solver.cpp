@@ -6,7 +6,6 @@
 #include "obs/probe.hpp"
 #include "obs/trace.hpp"
 #include "sum/parallel.hpp"
-#include "util/arena.hpp"
 #include "util/threads.hpp"
 
 #include <algorithm>
@@ -124,10 +123,10 @@ ShallowWaterSolver<Policy>::ShallowWaterSolver(const Config& config)
 }
 
 // Resolve one cell's neighbor slots straight off the Morton-sorted leaf
-// list. Slot layout and sub-face order reproduce the historic face-scan
-// bit-for-bit: 0/1 = west sub-faces, 2/3 = east, 4/5 = south, 6/7 = north,
-// with the lower-coordinate sub-face first (that is the Morton order the
-// face lists pushed them in). Areas are the fine side's cell width, cast
+// list. Slot layout and sub-face order reproduce a scan of the mesh face
+// lists bit-for-bit: 0/1 = west sub-faces, 2/3 = east, 4/5 = south,
+// 6/7 = north, with the lower-coordinate sub-face first (that is the
+// Morton order the face lists pushed them in). Areas are the fine side's cell width, cast
 // from the same double the face builder produced, so the tables built here
 // are element-wise identical to a face-scan rebuild.
 template <fp::PrecisionPolicy Policy>
@@ -327,51 +326,6 @@ void ShallowWaterSolver<Policy>::rebuild_topology_caches() {
     rebuild_iteration_space();
 }
 
-// The historic rebuild: zero-fill the full slot tables, then scatter the
-// mesh face lists into them (which also pays for rebuilding those lists).
-// Kept verbatim as RezoneMode::Full — the measured pre-incremental
-// baseline and the bit-match reference for the tests.
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::rebuild_topology_caches_facescan() {
-    const std::size_t n = mesh_.num_cells();
-    dh_.assign(n, compute_t(0));
-    dhu_.assign(n, compute_t(0));
-    dhv_.assign(n, compute_t(0));
-    cfl_buf_.assign(n, compute_t(0));
-    inv_area_.resize(n);
-    const auto& cells = mesh_.cells();
-    for (std::size_t c = 0; c < n; ++c)
-        inv_area_[c] =
-            static_cast<compute_t>(1.0 / mesh_.cell_area(cells[c]));
-
-    nbr_idx_.assign(static_cast<std::size_t>(kSlots) * n, 0);
-    nbr_area_.assign(static_cast<std::size_t>(kSlots) * n, compute_t(0));
-    for (std::size_t c = 0; c < n; ++c)
-        for (int slot = 0; slot < kSlots; ++slot)
-            nbr_idx_[static_cast<std::size_t>(slot) * n + c] =
-                static_cast<std::int32_t>(c);
-    auto assign_slot = [&](std::int32_t cell, int base, std::int32_t nbr,
-                           double area) {
-        const auto c = static_cast<std::size_t>(cell);
-        const int slot =
-            nbr_area_[static_cast<std::size_t>(base) * n + c] == compute_t(0)
-                ? base
-                : base + 1;
-        nbr_idx_[static_cast<std::size_t>(slot) * n + c] = nbr;
-        nbr_area_[static_cast<std::size_t>(slot) * n + c] =
-            static_cast<compute_t>(area);
-    };
-    for (const mesh::Face& f : mesh_.x_faces()) {
-        assign_slot(f.lo, 2, f.hi, f.area);  // east side of lo
-        assign_slot(f.hi, 0, f.lo, f.area);  // west side of hi
-    }
-    for (const mesh::Face& f : mesh_.y_faces()) {
-        assign_slot(f.lo, 6, f.hi, f.area);  // north side of lo
-        assign_slot(f.hi, 4, f.lo, f.area);  // south side of hi
-    }
-    rebuild_iteration_space();
-}
-
 template <fp::PrecisionPolicy Policy>
 std::size_t ShallowWaterSolver<Policy>::update_topology_caches(
     const mesh::RemapPlan& plan) {
@@ -498,7 +452,7 @@ bool ShallowWaterSolver<Policy>::topology_caches_consistent() const {
     if (nbr_idx_.size() != static_cast<std::size_t>(kSlots) * n ||
         nbr_area_.size() != nbr_idx_.size() || inv_area_.size() != n)
         return false;
-    // Reference tables via the historic face-scan into scratch storage.
+    // Reference tables: scatter the mesh face lists into scratch storage.
     std::vector<std::int32_t> ridx(nbr_idx_.size());
     std::vector<compute_t> rarea(nbr_area_.size(), compute_t(0));
     for (std::size_t c = 0; c < n; ++c)
@@ -569,16 +523,16 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
     // Pre-refine around the initial discontinuity: one pass per allowed
     // level, re-evaluating the analytic state on the refined mesh so the
     // initial column edge is resolved at the finest level (CLAMR's initial
-    // rezone does the same).
+    // rezone does the same). Each pass is a rezone with apply_ic in place
+    // of the remap: the slot tables are current on entry (the constructor
+    // or the previous pass built them), so the flags read them and the
+    // incremental update carries them to the refined mesh.
     for (std::int32_t pass = 0; pass < config_.geom.max_level; ++pass) {
-        // Face-scan flags here: the neighbor-slot tables are rebuilt only
-        // once after the whole pre-refine loop, so they are stale inside
-        // it, while the (lazily rebuilt) face lists are always current.
-        compute_refinement_flags_facescan(flags_scratch_);
+        compute_refinement_flags(flags_scratch_);
         // Never coarsen during initialization.
         for (auto& f : flags_scratch_)
             if (f == mesh::kCoarsenFlag) f = mesh::kKeepFlag;
-        mesh_.adapt(flags_scratch_);
+        const mesh::RemapPlan plan = mesh_.adapt(flags_scratch_);
         // resize, not assign: apply_ic overwrites every cell, so zero-fill
         // would be pure churn, and the vectors keep their capacity across
         // the warm-up passes instead of reallocating on each one.
@@ -586,8 +540,8 @@ void ShallowWaterSolver<Policy>::initialize_dam_break(const DamBreak& ic) {
         hu_.resize(mesh_.num_cells());
         hv_.resize(mesh_.num_cells());
         apply_ic(ic);
+        update_topology_caches(plan);
     }
-    rebuild_topology_caches();
     time_ = 0.0;
     step_count_ = 0;
 }
@@ -606,8 +560,8 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags(
     const auto ni = static_cast<std::int64_t>(n);
     // Every interior face appears in both endpoint cells' slots and the
     // relative-jump measure is symmetric and order-independent under max,
-    // so the per-cell max over own slots equals the face-scan's scattered
-    // max bit-for-bit — with no scatter, this loop threads freely.
+    // so the per-cell max over own slots equals a face-list scan's
+    // scattered max bit-for-bit — with no scatter, this loop threads freely.
 #pragma omp parallel for schedule(static)
     for (std::int64_t c = 0; c < ni; ++c) {
         const double hc = static_cast<double>(h[c]);
@@ -627,41 +581,6 @@ void ShallowWaterSolver<Policy>::compute_refinement_flags(
             out[c] = mesh::kCoarsenFlag;
         else
             out[c] = mesh::kKeepFlag;
-    }
-}
-
-template <fp::PrecisionPolicy Policy>
-void ShallowWaterSolver<Policy>::compute_refinement_flags_facescan(
-    std::vector<std::int8_t>& flags) const {
-    const std::size_t n = mesh_.num_cells();
-    // Arena scratch: this runs every rezone_interval steps, so the jump
-    // buffer must not hit the heap at steady state.
-    util::ScratchArena& arena = util::tls_arena();
-    util::ArenaScope scope(arena);
-    double* jump = arena.alloc<double>(n);
-    std::fill_n(jump, n, 0.0);
-    auto scan = [&](const std::vector<mesh::Face>& faces) {
-        for (const mesh::Face& f : faces) {
-            const double hl = static_cast<double>(h_[f.lo]);
-            const double hr = static_cast<double>(h_[f.hi]);
-            const double ref =
-                std::max({std::fabs(hl), std::fabs(hr), 1e-12});
-            const double rel = std::fabs(hl - hr) / ref;
-            jump[static_cast<std::size_t>(f.lo)] =
-                std::max(jump[static_cast<std::size_t>(f.lo)], rel);
-            jump[static_cast<std::size_t>(f.hi)] =
-                std::max(jump[static_cast<std::size_t>(f.hi)], rel);
-        }
-    };
-    scan(mesh_.x_faces());
-    scan(mesh_.y_faces());
-
-    flags.assign(n, mesh::kKeepFlag);
-    for (std::size_t c = 0; c < n; ++c) {
-        if (jump[c] > config_.refine_threshold)
-            flags[c] = mesh::kRefineFlag;
-        else if (jump[c] < config_.coarsen_threshold)
-            flags[c] = mesh::kCoarsenFlag;
     }
 }
 
@@ -732,8 +651,6 @@ void ShallowWaterSolver<Policy>::remap_state(const mesh::RemapPlan& plan) {
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rezone() {
     TP_OBS_SPAN("clamr.rezone");
-    const bool incremental =
-        config_.rezone_mode == RezoneMode::Incremental;
     const std::uint64_t old_cells = mesh_.num_cells();
     const auto threads = static_cast<std::uint32_t>(util::max_threads());
     constexpr std::uint64_t ss = sizeof(storage_t);
@@ -744,22 +661,14 @@ void ShallowWaterSolver<Policy>::rezone() {
     util::WallTimer t_all;
     util::WallTimer t;
 
-    // Phase 1: refinement flags. Incremental mode reads the slot tables
-    // per cell; the Full baseline scans the (lazily rebuilt) face lists.
+    // Phase 1: refinement flags, read per cell off the slot tables.
     {
         TP_OBS_SPAN("clamr.rezone_flags");
-        if (incremental)
-            compute_refinement_flags(flags_scratch_);
-        else
-            compute_refinement_flags_facescan(flags_scratch_);
+        compute_refinement_flags(flags_scratch_);
     }
     const double s_flags = t.elapsed_seconds();
-    const std::uint64_t flags_bytes =
-        incremental
-            ? old_cells * (9 * ss + slot_bytes + 1)
-            : old_cells * (2 * 24 + 4 * ss + 4 * sizeof(double) + 1);
-    ledger_.record("rezone_flags", s_flags, 0, 0, flags_bytes, 0, 0,
-                   incremental ? threads : 1);
+    ledger_.record("rezone_flags", s_flags, 0, 0,
+                   old_cells * (9 * ss + slot_bytes + 1), 0, 0, threads);
     timers_.add("rezone_flags", s_flags);
 
     // Phase 2: mesh adapt (coarsen-group approval, emit, 2:1 balance, all
@@ -789,29 +698,21 @@ void ShallowWaterSolver<Policy>::rezone() {
                    (old_cells + new_cells) * 3 * ss, 0, 0, threads);
     timers_.add("rezone_remap", s_remap);
 
-    // Phase 4: topology caches — incremental translate of surviving
-    // cells' slots vs. the Full face-scan rebuild — then the block index
-    // derived from them, so its cost is part of the rezone.
+    // Phase 4: topology caches — translate surviving cells' slots and
+    // resolve the rest — then the block index derived from them, so its
+    // cost is part of the rezone.
     t.restart();
     std::size_t resolved;
     {
         TP_OBS_SPAN("clamr.rezone_cache");
-        if (incremental) {
-            resolved = update_topology_caches(plan);
-        } else {
-            rebuild_topology_caches_facescan();
-            resolved = new_cells;
-        }
+        resolved = update_topology_caches(plan);
         rebuild_blocks();
     }
     const double s_cache = t.elapsed_seconds();
-    const std::uint64_t cache_bytes =
-        incremental
-            ? (old_cells + new_cells) * slot_bytes + old_cells * 4 +
-                  new_cells * (sc + 4)
-            : new_cells * (2 * slot_bytes + 7 * sc + 2 * 24);
-    ledger_.record("rezone_cache", s_cache, 0, 0, cache_bytes, 0, 0,
-                   incremental ? threads : 1);
+    ledger_.record("rezone_cache", s_cache, 0, 0,
+                   (old_cells + new_cells) * slot_bytes + old_cells * 4 +
+                       new_cells * (sc + 4),
+                   0, 0, threads);
     timers_.add("rezone_cache", s_cache);
 
     // Aggregate timer kept for whole-rezone reporting (examples, tests).

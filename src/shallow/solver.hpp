@@ -226,18 +226,10 @@ public:
         return rezone_stats_;
     }
 
-    /// Slot-major neighbor tables (kSlots x ncells), exposed so tests can
-    /// compare incremental and full rebuilds element-wise.
-    [[nodiscard]] const std::vector<std::int32_t>& neighbor_indices() const {
-        return nbr_idx_;
-    }
-    [[nodiscard]] const std::vector<compute_t>& neighbor_areas() const {
-        return nbr_area_;
-    }
-
-    /// Recompute every topology cache from scratch via the historic
-    /// face-scan path into scratch buffers and compare bit-for-bit with
-    /// the live caches. Test/bench hook for the incremental update.
+    /// Recompute every topology cache from scratch by scattering the
+    /// mesh's interior face lists into scratch buffers and compare
+    /// bit-for-bit with the live caches: the test oracle of the
+    /// incremental update (no solver path reads the face lists).
     [[nodiscard]] bool topology_caches_consistent() const;
 
     /// Attach (or detach, with nullptr) a runtime precision governor
@@ -258,12 +250,8 @@ private:
     /// Scatter-free threaded flags: each cell takes the max relative
     /// height jump over its own neighbor slots (every interior face
     /// appears in both endpoint cells' slots and the jump measure is
-    /// symmetric, so this equals the historic face-scan bit-for-bit).
+    /// symmetric, so this equals a scan of the face lists bit-for-bit).
     void compute_refinement_flags(std::vector<std::int8_t>& flags) const;
-    /// Historic serial face-scan flags (RezoneMode::Full baseline; also
-    /// used during initialization, when the slot tables are stale).
-    void compute_refinement_flags_facescan(
-        std::vector<std::int8_t>& flags) const;
     void rezone();
     void remap_state(const mesh::RemapPlan& plan);
     /// Resolve all kSlots neighbor slots of one cell directly from the
@@ -274,10 +262,8 @@ private:
     /// cell; `idx`/`area` receive exactly the two slots of that side.
     void resolve_cell_side(std::int32_t c, int base, std::int32_t* idx,
                            compute_t* area) const;
-    /// From-scratch threaded per-cell rebuild (constructor / init).
+    /// From-scratch threaded per-cell rebuild (constructor / restore).
     void rebuild_topology_caches();
-    /// Historic serial face-scan rebuild (RezoneMode::Full baseline).
-    void rebuild_topology_caches_facescan();
     /// Dirty-span incremental update: translate surviving cells' slots
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.

@@ -74,13 +74,17 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
 
 // ------------------------------------------- frozen cell-path digests
 
-// tools/baselines/cell_path_digests.txt freezes the checkpoints of the
-// retired per-cell flux sweep — the bit-identical oracle the tile sweep
-// was checked against while both existed — for every policy, SIMD shape
-// and grid those gates compared (rezone every 4, 30 steps; rezone every
-// 2, 30 steps; 16 steps on the small grids). The flux sweep must still
-// reproduce every one, rezoning throughout. A missing or different entry
-// is reported as the line the run produced.
+// tools/baselines/cell_path_digests.txt freezes the checkpoints of two
+// retired paths, each recorded while it was still the bit-identical
+// oracle of the path that replaced it. The per-cell flux sweep froze
+// every policy, SIMD shape and grid the blocked-sweep gates compared
+// (rezone every 4, 30 steps; rezone every 2, 30 steps; 16 steps on the
+// small grids). The face-scan rezone (flags and topology caches rebuilt
+// from the mesh face lists) froze the rezone-heavy shape of
+// SimdEquivalence.ClamrRezoneHeavyBitIdentical: 24^2, 4 levels, rezone
+// every 2, 25 steps. The solver must still reproduce every one,
+// rezoning throughout. A missing or different entry is reported as the
+// line the run produced.
 
 std::uint64_t fnv1a64(const std::string& bytes) {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -115,32 +119,32 @@ void reproduces_frozen_digests() {
     const SingleThread one;
     const auto frozen = read_frozen_digests();
     struct Run {
-        int rezone_interval, steps;
-        bool quick_grids_only;
+        int grid, levels, steps, rezone_interval;
+    };
+    constexpr Run kRuns[] = {
+        {12, 3, 30, 4}, {12, 3, 30, 2}, {12, 3, 16, 2},
+        {16, 3, 30, 4}, {16, 3, 30, 2}, {16, 3, 16, 2},
+        {24, 2, 30, 4}, {24, 2, 30, 2},
+        {24, 4, 25, 2},  // frozen from the face-scan rezone
     };
     for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
-        for (const int grid : {12, 16, 24}) {
-            for (const Run run : {Run{4, 30, false}, Run{2, 30, false},
-                                  Run{2, 16, true}}) {
-                if (run.quick_grids_only && grid > 16) continue;
-                const int levels = grid <= 16 ? 3 : 2;
-                std::ostringstream key;
-                key << Policy::name << ' '
-                    << (mode == simd::Mode::Native ? "native" : "scalar")
-                    << ' ' << grid << ' ' << levels << ' ' << run.steps
-                    << ' ' << run.rezone_interval;
-                const auto it = frozen.find(key.str());
-                const std::string want =
-                    it == frozen.end() ? "(missing)" : it->second;
-                const auto ckpt = checkpoint_after<Policy>(
-                    amr_config(grid, levels, mode, run.rezone_interval),
-                    run.steps);
-                std::ostringstream got;
-                got << ckpt.size() << ' ' << std::hex << std::setw(16)
-                    << std::setfill('0') << fnv1a64(ckpt);
-                EXPECT_EQ(got.str(), want)
-                    << "produced: " << key.str() << ' ' << got.str();
-            }
+        for (const Run run : kRuns) {
+            std::ostringstream key;
+            key << Policy::name << ' '
+                << (mode == simd::Mode::Native ? "native" : "scalar") << ' '
+                << run.grid << ' ' << run.levels << ' ' << run.steps << ' '
+                << run.rezone_interval;
+            const auto it = frozen.find(key.str());
+            const std::string want =
+                it == frozen.end() ? "(missing)" : it->second;
+            const auto ckpt = checkpoint_after<Policy>(
+                amr_config(run.grid, run.levels, mode, run.rezone_interval),
+                run.steps);
+            std::ostringstream got;
+            got << ckpt.size() << ' ' << std::hex << std::setw(16)
+                << std::setfill('0') << fnv1a64(ckpt);
+            EXPECT_EQ(got.str(), want)
+                << "produced: " << key.str() << ' ' << got.str();
         }
     }
 }
@@ -164,13 +168,12 @@ TEST(CellPathDigests, HalfStoragePrecision) {
 // topology refresh. After the first step and after every single rezone
 // it must match an oracle derived from the mesh alone (consistent_with:
 // exact masks, every position a regular member reads, -1 everywhere
-// else) — for float and double slot areas, and behind both the
-// incremental slot update and the face-scan rebuild.
+// else) — for float and double slot areas.
 template <typename Policy>
-void index_matches_oracle_every_rezone(tsh::RezoneMode mode) {
+void index_matches_oracle_every_rezone() {
     const SingleThread one;
-    auto cfg = amr_config(24, 3, simd::Mode::Native, /*rezone_interval=*/1);
-    cfg.rezone_mode = mode;
+    const auto cfg =
+        amr_config(24, 3, simd::Mode::Native, /*rezone_interval=*/1);
     tsh::ShallowWaterSolver<Policy> s(cfg);
     s.initialize_dam_break({});
     std::string why;
@@ -191,12 +194,8 @@ void index_matches_oracle_every_rezone(tsh::RezoneMode mode) {
 }
 
 TEST(BlockIndex, MatchesMeshOracleAfterEveryRezone) {
-    index_matches_oracle_every_rezone<fp::MixedPrecision>(
-        tsh::RezoneMode::Incremental);
-    index_matches_oracle_every_rezone<fp::MinimumPrecision>(
-        tsh::RezoneMode::Incremental);
-    index_matches_oracle_every_rezone<fp::MinimumPrecision>(
-        tsh::RezoneMode::Full);
+    index_matches_oracle_every_rezone<fp::MixedPrecision>();
+    index_matches_oracle_every_rezone<fp::MinimumPrecision>();
 }
 
 // Fill-mask correctness after rezones: member bits name exactly the
