@@ -117,8 +117,8 @@ public:
     /// the metrics stream.
     void set_record_sink(std::function<void(const std::string&)> sink);
 
-    /// The {"type":"governor"} record for one decision (schema in
-    /// DESIGN.md §11; obs_check validates it).
+    /// The {"type":"governor"} record for one decision (fields in
+    /// obs/schema.cpp; DESIGN.md §11).
     [[nodiscard]] std::string decision_record_json(const Decision& d) const;
 
     /// Tail fraction of one accumulated sample set under this config:

@@ -6,8 +6,8 @@
 // verify them without external dependencies. This header provides both
 // halves: an append-only object/array builder that can only produce valid
 // JSON (non-finite doubles become null rather than the illegal bare NaN),
-// and a strict recursive-descent validator used by tests and by
-// examples/obs_check.cpp.
+// and one strict recursive-descent parser that both the offline
+// consumers (tools/tp_report, examples/obs_check) and valid() use.
 
 #include <cctype>
 #include <cmath>
@@ -167,150 +167,6 @@ private:
     bool first_ = true;
 };
 
-// ---------------------------------------------------------------- validator
-
-namespace detail {
-
-class Parser {
-public:
-    explicit Parser(std::string_view text) : s_(text) {}
-
-    [[nodiscard]] bool parse_document() {
-        skip_ws();
-        if (!parse_value()) return false;
-        skip_ws();
-        return pos_ == s_.size();
-    }
-
-private:
-    [[nodiscard]] bool parse_value() {
-        if (depth_ > 256) return false;  // runaway nesting
-        skip_ws();
-        if (pos_ >= s_.size()) return false;
-        switch (s_[pos_]) {
-        case '{': return parse_object();
-        case '[': return parse_array();
-        case '"': return parse_string();
-        case 't': return literal("true");
-        case 'f': return literal("false");
-        case 'n': return literal("null");
-        default: return parse_number();
-        }
-    }
-
-    [[nodiscard]] bool parse_object() {
-        ++depth_;
-        ++pos_;  // '{'
-        skip_ws();
-        if (peek() == '}') { ++pos_; --depth_; return true; }
-        while (true) {
-            skip_ws();
-            if (peek() != '"' || !parse_string()) return false;
-            skip_ws();
-            if (peek() != ':') return false;
-            ++pos_;
-            if (!parse_value()) return false;
-            skip_ws();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == '}') { ++pos_; --depth_; return true; }
-            return false;
-        }
-    }
-
-    [[nodiscard]] bool parse_array() {
-        ++depth_;
-        ++pos_;  // '['
-        skip_ws();
-        if (peek() == ']') { ++pos_; --depth_; return true; }
-        while (true) {
-            if (!parse_value()) return false;
-            skip_ws();
-            if (peek() == ',') { ++pos_; continue; }
-            if (peek() == ']') { ++pos_; --depth_; return true; }
-            return false;
-        }
-    }
-
-    [[nodiscard]] bool parse_string() {
-        ++pos_;  // '"'
-        while (pos_ < s_.size()) {
-            const char c = s_[pos_];
-            if (static_cast<unsigned char>(c) < 0x20) return false;
-            if (c == '"') { ++pos_; return true; }
-            if (c == '\\') {
-                ++pos_;
-                if (pos_ >= s_.size()) return false;
-                const char e = s_[pos_];
-                if (e == 'u') {
-                    if (pos_ + 4 >= s_.size()) return false;
-                    for (int k = 1; k <= 4; ++k)
-                        if (!std::isxdigit(static_cast<unsigned char>(
-                                s_[pos_ + static_cast<std::size_t>(k)])))
-                            return false;
-                    pos_ += 4;
-                } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                           e != 'f' && e != 'n' && e != 'r' && e != 't') {
-                    return false;
-                }
-            }
-            ++pos_;
-        }
-        return false;
-    }
-
-    [[nodiscard]] bool parse_number() {
-        const std::size_t start = pos_;
-        if (peek() == '-') ++pos_;
-        if (!digit()) return false;
-        if (s_[pos_] == '0') ++pos_;
-        else while (digit()) ++pos_;
-        if (peek() == '.') {
-            ++pos_;
-            if (!digit()) return false;
-            while (digit()) ++pos_;
-        }
-        if (peek() == 'e' || peek() == 'E') {
-            ++pos_;
-            if (peek() == '+' || peek() == '-') ++pos_;
-            if (!digit()) return false;
-            while (digit()) ++pos_;
-        }
-        return pos_ > start;
-    }
-
-    [[nodiscard]] bool literal(std::string_view word) {
-        if (s_.substr(pos_, word.size()) != word) return false;
-        pos_ += word.size();
-        return true;
-    }
-
-    [[nodiscard]] bool digit() const {
-        return pos_ < s_.size() &&
-               std::isdigit(static_cast<unsigned char>(s_[pos_]));
-    }
-    [[nodiscard]] char peek() const {
-        return pos_ < s_.size() ? s_[pos_] : '\0';
-    }
-    void skip_ws() {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    std::string_view s_;
-    std::size_t pos_ = 0;
-    int depth_ = 0;
-};
-
-}  // namespace detail
-
-/// Strict whole-document validity check (single JSON value, no trailing
-/// garbage). Used by tests and the CI output checker.
-[[nodiscard]] inline bool valid(std::string_view text) {
-    return detail::Parser(text).parse_document();
-}
-
 // --------------------------------------------------------------- DOM parser
 //
 // A small owning JSON value for the offline consumers (tools/tp_report,
@@ -318,6 +174,10 @@ private:
 // name. Object members keep insertion order in a vector (std::map does
 // not support the recursive incomplete type, and order is useful when
 // echoing records back to a human).
+
+namespace detail {
+class Parser;
+}  // namespace detail
 
 class Value {
 public:
@@ -372,40 +232,23 @@ public:
     }
 
 private:
-    friend class detail_parser_access;
+    friend class detail::Parser;  // builds arrays and objects in place
     Type type_ = Type::Null;
     bool bool_ = false;
     double num_ = 0.0;
     std::string str_;
     std::vector<Value> items_;
     std::vector<Member> members_;
-
-public:
-    // Build helpers for the parser (not a general mutation API).
-    static Value make_array() {
-        Value v;
-        v.type_ = Type::Array;
-        return v;
-    }
-    static Value make_object() {
-        Value v;
-        v.type_ = Type::Object;
-        return v;
-    }
-    void push_item(Value v) { items_.push_back(std::move(v)); }
-    void push_member(std::string k, Value v) {
-        members_.emplace_back(std::move(k), std::move(v));
-    }
 };
 
 namespace detail {
 
-/// Recursive-descent DOM parser, same grammar as the validator plus
-/// escape decoding (\uXXXX including surrogate pairs re-encodes to
-/// UTF-8). Returns nullopt on any syntax error.
-class DomParser {
+/// Strict recursive-descent parser (RFC 8259 grammar) with escape
+/// decoding (\uXXXX including surrogate pairs re-encodes to UTF-8).
+/// Returns nullopt on any syntax error.
+class Parser {
 public:
-    explicit DomParser(std::string_view text) : s_(text) {}
+    explicit Parser(std::string_view text) : s_(text) {}
 
     [[nodiscard]] std::optional<Value> parse_document() {
         skip_ws();
@@ -448,7 +291,8 @@ private:
 
     [[nodiscard]] std::optional<Value> parse_object() {
         ++pos_;  // '{'
-        Value obj = Value::make_object();
+        Value obj;
+        obj.type_ = Value::Type::Object;
         skip_ws();
         if (peek() == '}') {
             ++pos_;
@@ -464,7 +308,7 @@ private:
             ++pos_;
             auto v = parse_value();
             if (!v) return std::nullopt;
-            obj.push_member(std::move(*key), std::move(*v));
+            obj.members_.emplace_back(std::move(*key), std::move(*v));
             skip_ws();
             if (peek() == ',') {
                 ++pos_;
@@ -480,7 +324,8 @@ private:
 
     [[nodiscard]] std::optional<Value> parse_array() {
         ++pos_;  // '['
-        Value arr = Value::make_array();
+        Value arr;
+        arr.type_ = Value::Type::Array;
         skip_ws();
         if (peek() == ']') {
             ++pos_;
@@ -489,7 +334,7 @@ private:
         while (true) {
             auto v = parse_value();
             if (!v) return std::nullopt;
-            arr.push_item(std::move(*v));
+            arr.items_.push_back(std::move(*v));
             skip_ws();
             if (peek() == ',') {
                 ++pos_;
@@ -646,9 +491,15 @@ private:
 }  // namespace detail
 
 /// Parse one whole JSON document into a Value; nullopt on any syntax
-/// error (same strictness as valid()).
+/// error, trailing garbage, unpaired surrogate escape or nesting deeper
+/// than 256 values.
 [[nodiscard]] inline std::optional<Value> parse(std::string_view text) {
-    return detail::DomParser(text).parse_document();
+    return detail::Parser(text).parse_document();
+}
+
+/// Strict whole-document validity check: exactly what parse() accepts.
+[[nodiscard]] inline bool valid(std::string_view text) {
+    return parse(text).has_value();
 }
 
 }  // namespace tp::obs::json

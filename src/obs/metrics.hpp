@@ -4,12 +4,9 @@
 // counters), preceded by a run manifest record, written to the file named
 // by --metrics=<file>.
 //
-// Record discrimination is by the "type" field:
-//   {"type":"manifest", ...}    once, at startup (see write_manifest)
-//   {"type":"step", ...}        one per step, emitted by the driver loop
-//   {"type":"diagnostic", ...}  structured numerical-health faults
-//                               (obs/probe.hpp) — written before the
-//                               corresponding exception is thrown
+// Records are discriminated by their "type" field. The manifest comes
+// first (see write_manifest); the table in obs/schema.cpp lists every
+// record type and its fields.
 //
 // The stream is process-global, like the trace session: the CLI layer
 // opens it once and every solver/driver in the process appends. Writes

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/json.hpp"
+#include "obs/schema.hpp"
 
 namespace tp::obs::report {
 
@@ -172,7 +173,9 @@ RunSummary summarize(const std::vector<std::string>& lines) {
             continue;
         }
         const std::string& t = type->as_string();
-        if (t == "manifest")
+        if (!schema::known_type(t))
+            ++out.unknown_records;
+        else if (t == "manifest")
             digest_manifest(*rec, out);
         else if (t == "step")
             digest_step(*rec, out);
@@ -190,10 +193,7 @@ RunSummary summarize(const std::vector<std::string>& lines) {
             ++out.diagnostics;
         else if (t == "probe")
             ++out.probes;
-        else if (t == "table")
-            ;  // bench table echo; nothing to roll up
-        else
-            ++out.unknown_records;
+        // A table record (bench table echo) has nothing to roll up.
     }
     return out;
 }

@@ -10,7 +10,7 @@
 // synthetic streams.
 //
 // Tolerance contract: a stream may end mid-line (the writer crashed) or
-// carry record types this build does not know; summarize() counts both
+// carry record types obs/schema.hpp does not know; summarize() counts both
 // instead of failing, because a run-diffing tool that refuses to read a
 // crashed run's stream is useless exactly when it is needed most.
 

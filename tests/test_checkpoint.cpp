@@ -16,6 +16,7 @@
 #include "io/async_checkpoint.hpp"
 #include "io/async_writer.hpp"
 #include "io/checkpoint.hpp"
+#include "obs/schema.hpp"
 #include "par/dist_shallow.hpp"
 #include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
@@ -608,4 +609,22 @@ TEST(CheckpointOptions, DriftBitsTrackTheBudgetAndStorage) {
     EXPECT_EQ(io::drift_bits(0.0, 256, 53), 2);  // all-zero array
     // Half storage at a loose budget compresses hard but stays >= 2.
     EXPECT_GE(io::drift_bits(peak, 1024, 11), 2);
+}
+
+// ------------------------------------------------------ metrics record
+
+TEST(CheckpointRecord, BothVersionsMatchTheRecordSchema) {
+    const auto s = make_shallow<fp::MixedPrecision>(16, 1, 4);
+    for (const auto& opt : {io::CheckpointOptions{},
+                            io::parse_checkpoint_compress("drift")}) {
+        std::stringstream os;
+        const io::CheckpointWriteInfo info = s.write_checkpoint(os, opt);
+        const std::string line =
+            io::checkpoint_record("c.bin", 4, info, 0.0, 0.01, 0.0, true);
+        const auto rec = obs::json::parse(line);
+        ASSERT_TRUE(rec.has_value()) << line;
+        EXPECT_EQ(obs::schema::check_record(*rec),
+                  std::vector<std::string>{})
+            << line;
+    }
 }

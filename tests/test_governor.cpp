@@ -6,6 +6,7 @@
 
 #include "fp/governor.hpp"
 #include "obs/json.hpp"
+#include "obs/schema.hpp"
 #include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 
@@ -225,7 +226,10 @@ TEST(Governor, TransitionRecordsAreValidJsonAndReachTheSink) {
     gov.end_step(8);  // demote
     ASSERT_EQ(lines.size(), 2u);
     for (const std::string& l : lines) {
-        EXPECT_TRUE(obs::json::valid(l)) << l;
+        const auto rec = obs::json::parse(l);
+        ASSERT_TRUE(rec.has_value()) << l;
+        EXPECT_EQ(obs::schema::check_record(*rec), std::vector<std::string>{})
+            << l;
         EXPECT_NE(l.find("\"type\":\"governor\""), std::string::npos);
         EXPECT_NE(l.find("\"kernel\":\"clamr.flux_sweep\""),
                   std::string::npos);

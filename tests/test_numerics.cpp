@@ -11,11 +11,13 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "fp/half.hpp"
 #include "fp/ulp.hpp"
 #include "obs/json.hpp"
 #include "obs/numerics.hpp"
+#include "obs/schema.hpp"
 #include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 
@@ -191,9 +193,9 @@ TEST(NumericsRecord, RoundTripsThroughTheDomParser) {
     s.observe(2.0f, 2.0);
     const std::string rec =
         obs::numerics_record_json("clamr.flux_sweep", "dh", s);
-    ASSERT_TRUE(json::valid(rec)) << rec;
     const auto v = json::parse(rec);
-    ASSERT_TRUE(v.has_value());
+    ASSERT_TRUE(v.has_value()) << rec;
+    EXPECT_EQ(obs::schema::check_record(*v), std::vector<std::string>{});
     EXPECT_EQ(v->string_or("type", ""), "numerics");
     EXPECT_EQ(v->string_or("kernel", ""), "clamr.flux_sweep");
     EXPECT_EQ(v->string_or("array", ""), "dh");
@@ -214,7 +216,9 @@ TEST(NumericsRecord, InfiniteMaxRelBecomesNull) {
     obs::DivergenceStats s;
     s.observe(1.0f, 0.0);  // rel = inf
     const std::string rec = obs::numerics_record_json("k", "a", s);
-    ASSERT_TRUE(json::valid(rec)) << rec;
+    const auto v = json::parse(rec);
+    ASSERT_TRUE(v.has_value()) << rec;
+    EXPECT_EQ(obs::schema::check_record(*v), std::vector<std::string>{});
     EXPECT_NE(rec.find("\"max_rel\":null"), std::string::npos) << rec;
 }
 

@@ -1,11 +1,13 @@
 // Tests for the flight-recorder observability layer (src/obs/): the JSON
-// builder/validator, the trace session, the metrics stream + manifest,
-// the numerical-health probes, and the two contracts the solvers rely on:
-// instrumentation is allocation-free when the flags are off, and an
-// injected NaN is caught and reported as a structured NumericalFault.
+// builder/parser, the record schema, the trace session, the metrics
+// stream + manifest, the numerical-health probes, and the two contracts
+// the solvers rely on: instrumentation is allocation-free when the flags
+// are off, and an injected NaN is caught and reported as a structured
+// NumericalFault.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -15,6 +17,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -22,6 +25,7 @@
 #include "obs/numerics.hpp"
 #include "obs/obs.hpp"
 #include "obs/probe.hpp"
+#include "obs/schema.hpp"
 #include "obs/trace.hpp"
 #include "shallow/solver.hpp"
 #include "util/cli.hpp"
@@ -201,6 +205,25 @@ TEST(Json, ValidatorRejectsMalformedDocuments) {
     EXPECT_FALSE(json::valid("{\"a\":1} trailing"));
     EXPECT_FALSE(json::valid("{'a':1}"));
     EXPECT_FALSE(json::valid("{\"a\":01}"));
+}
+
+TEST(JsonValid, RejectsUnpairedSurrogateEscapes) {
+    EXPECT_FALSE(json::valid("{\"s\":\"\\ud83d\"}"));  // lone high
+    EXPECT_FALSE(json::valid("{\"s\":\"\\ude00\"}"));  // lone low
+    EXPECT_TRUE(json::valid("{\"s\":\"\\ud83d\\ude00\"}"));
+}
+
+TEST(JsonParse, AgreesWithValidAtTheNestingLimit) {
+    for (const int depth : {255, 256, 257})
+        for (const std::string leaf : {"", "0"}) {
+            const std::string doc = std::string(depth, '[') + leaf +
+                                    std::string(depth, ']');
+            EXPECT_EQ(json::valid(doc), json::parse(doc).has_value())
+                << depth << " arrays around '" << leaf << "'";
+        }
+    EXPECT_TRUE(json::parse(std::string(255, '[') + "0" +
+                            std::string(255, ']')));
+    EXPECT_FALSE(json::parse(std::string(257, '[') + std::string(257, ']')));
 }
 
 // ----------------------------------------------------------------- trace
@@ -631,8 +654,8 @@ TEST(FlushDeathTest, UncaughtExceptionStillLandsTraceAndMetrics) {
 TEST(RoundTrip, EveryRecordTypeSurvivesEmitThenParse) {
     // Drive the real emitters end to end — manifest (with non-ASCII and
     // deliberately invalid-encoding values), step, diagnostic, probe,
-    // numerics, table — then require every line to pass the strict
-    // validator AND the DOM parser, with a known type discriminator.
+    // numerics, table — then require every line to parse and to pass the
+    // record schema, with a known type discriminator.
     const std::string path = temp_path("roundtrip.metrics.jsonl");
     obs::metrics().open(path);
     obs::write_manifest("round_trip",
@@ -673,6 +696,9 @@ TEST(RoundTrip, EveryRecordTypeSurvivesEmitThenParse) {
         EXPECT_TRUE(json::valid(line)) << line;
         const auto v = json::parse(line);
         ASSERT_TRUE(v.has_value()) << line;
+        EXPECT_EQ(obs::schema::check_record(*v),
+                  std::vector<std::string>{})
+            << line;
         types.push_back(v->string_or("type", "?"));
     }
     const std::vector<std::string> expected{"manifest", "step",
@@ -689,6 +715,227 @@ TEST(RoundTrip, EveryRecordTypeSurvivesEmitThenParse) {
               "raw\xC3\xBF"
               "byte");
     obs::probe_reset();
+}
+
+
+// ------------------------------------------------------ record schema
+
+// A record as (key, raw JSON value) pairs, so a case can drop or replace
+// one field of a valid record.
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+std::string record_of(const Fields& fields) {
+    json::Object o;
+    for (const auto& [key, value] : fields) o.field_raw(key, value);
+    return std::move(o).str();
+}
+
+// `fields` with `key` set to the raw JSON `value` (appended when absent),
+// or removed when `value` is empty.
+Fields with(Fields fields, const std::string& key, const std::string& value) {
+    const auto it =
+        std::find_if(fields.begin(), fields.end(),
+                     [&](const auto& f) { return f.first == key; });
+    if (value.empty()) {
+        if (it != fields.end()) fields.erase(it);
+    } else if (it != fields.end()) {
+        it->second = value;
+    } else {
+        fields.emplace_back(key, value);
+    }
+    return fields;
+}
+
+std::vector<std::string> problems_of(const Fields& fields) {
+    const auto v = json::parse(record_of(fields));
+    EXPECT_TRUE(v.has_value()) << record_of(fields);
+    return v ? obs::schema::check_record(*v)
+             : std::vector<std::string>{"unparseable"};
+}
+
+// One valid record per type with rules, shaped like its emitter's output.
+const Fields kManifest{
+    {"type", "\"manifest\""},
+    {"program", "\"p\""},
+    {"git_sha", "\"abc1234\""},
+    {"compiler", "\"12.2.0\""},
+    {"build", "\"release\""},
+    {"host", "\"h\""},
+    {"start_time", "\"2026-01-01T00:00:00Z\""},
+    {"threads", "4"},
+    {"openmp", "true"},
+};
+const Fields kStep{
+    {"type", "\"step\""},
+    {"step", "1"},
+    {"t", "0.5"},
+    {"dt", "0.5"},
+    {"wall_s", "0.001"},
+    {"phase_seconds", "{\"cfl\":0.25}"},
+};
+const Fields kNumerics{
+    {"type", "\"numerics\""},
+    {"kernel", "\"k\""},
+    {"array", "\"a\""},
+    {"samples", "4"},
+    {"exact", "1"},
+    {"max_ulp", "3"},
+    {"mean_ulp", "1.5"},
+    {"max_rel", "1e-7"},
+    {"mean_rel", "1e-8"},
+    {"sum_abs_err", "1e-6"},
+    {"max_abs_ref", "2"},
+    {"rel_hist", "[1,3]"},
+    {"rel_hist_lo_exp", "-16"},
+    {"sample_stride", "1"},
+};
+const Fields kGovernor{
+    {"type", "\"governor\""},
+    {"step", "3"},
+    {"kernel", "\"k\""},
+    {"action", "\"promote\""},
+    {"from", "\"float\""},
+    {"to", "\"double\""},
+    {"max_ulp", "9"},
+    {"tail_frac", "0.1"},
+    {"samples", "10"},
+    {"clean_steps", "0"},
+    {"drift_budget_ulp", "4"},
+    {"tail_budget_frac", "0.01"},
+};
+const Fields kCheckpoint{
+    {"type", "\"checkpoint\""},
+    {"path", "\"c.bin\""},
+    {"step", "2"},
+    {"version", "2"},
+    {"raw_bytes", "100"},
+    {"written_bytes", "50"},
+    {"ratio", "2"},
+    {"bits", "[16,12]"},
+    {"snapshot_s", "0"},
+    {"write_s", "0.01"},
+    {"stall_s", "0"},
+    {"async", "true"},
+};
+const Fields kDist{
+    {"type", "\"dist\""},
+    {"step", "1"},
+    {"ranks", "2"},
+    {"wall_s", "0.1"},
+    {"post_s", "[0.1,0.2]"},
+    {"precompute_s", "[0.1,0.2]"},
+    {"interior_s", "[0.1,0.2]"},
+    {"wait_s", "[0.1,0.2]"},
+    {"boundary_s", "[0.1,0.2]"},
+    {"halo_bytes", "[64,64]"},
+    {"resplits", "0"},
+};
+const Fields kTrace{
+    {"type", "\"trace\""},
+    {"events", "10"},
+    {"dropped", "0"},
+};
+
+TEST(Schema, EveryRecordTypeIsKnownAndNothingElse) {
+    for (const char* type :
+         {"manifest", "step", "diagnostic", "probe", "numerics", "governor",
+          "table", "checkpoint", "dist", "trace"})
+        EXPECT_TRUE(obs::schema::known_type(type)) << type;
+    EXPECT_FALSE(obs::schema::known_type("bogus"));
+    EXPECT_FALSE(obs::schema::known_type(""));
+}
+
+TEST(Schema, AcceptsValidRecordsOfEveryRuleBearingType) {
+    for (const Fields* base : {&kManifest, &kStep, &kNumerics, &kGovernor,
+                               &kCheckpoint, &kDist, &kTrace})
+        EXPECT_EQ(problems_of(*base), std::vector<std::string>{})
+            << record_of(*base);
+    // The legal edge values: null divergence, an empty v1 rate list, a
+    // step without the optional counters.
+    EXPECT_EQ(problems_of(with(kNumerics, "max_rel", "null")),
+              std::vector<std::string>{});
+    EXPECT_EQ(problems_of(with(with(kCheckpoint, "version", "1"), "bits",
+                               "[]")),
+              std::vector<std::string>{});
+    EXPECT_EQ(problems_of(with(with(kStep, "wall_s", ""), "phase_seconds",
+                               "")),
+              std::vector<std::string>{});
+}
+
+// One rejected record per rule the metrics checker enforces.
+TEST(Schema, RejectsEveryBrokenRule) {
+    std::vector<std::pair<std::string, Fields>> cases;
+    const auto add = [&](const std::string& label, Fields fields) {
+        cases.emplace_back(label, std::move(fields));
+    };
+    const auto drop_each = [&](const char* type, const Fields& base,
+                               std::initializer_list<const char*> keys) {
+        for (const char* key : keys)
+            add(std::string(type) + " without " + key, with(base, key, ""));
+    };
+
+    drop_each("manifest", kManifest,
+              {"program", "git_sha", "compiler", "build", "host",
+               "start_time", "threads"});
+    add("unknown type", with(kTrace, "type", "\"bogus\""));
+    add("no type", with(kTrace, "type", ""));
+
+    drop_each("step", kStep, {"dt", "t"});
+    add("step with null dt", with(kStep, "dt", "null"));
+
+    add("numerics with empty kernel", with(kNumerics, "kernel", "\"\""));
+    add("numerics with empty array", with(kNumerics, "array", "\"\""));
+    drop_each("numerics", kNumerics,
+              {"samples", "exact", "max_ulp", "mean_ulp", "sum_abs_err",
+               "max_abs_ref", "rel_hist_lo_exp", "sample_stride",
+               "max_rel", "mean_rel", "rel_hist"});
+    add("numerics with string max_rel", with(kNumerics, "max_rel", "\"x\""));
+    add("numerics with bool mean_rel", with(kNumerics, "mean_rel", "true"));
+    add("numerics with empty rel_hist", with(kNumerics, "rel_hist", "[]"));
+    add("numerics with negative bucket",
+        with(kNumerics, "rel_hist", "[-1,5]"));
+    add("numerics with rel_hist sum != samples",
+        with(kNumerics, "rel_hist", "[1,1]"));
+    add("numerics with exact > samples", with(kNumerics, "exact", "5"));
+
+    add("governor with empty kernel", with(kGovernor, "kernel", "\"\""));
+    add("governor with action hold", with(kGovernor, "action", "\"hold\""));
+    add("governor from half", with(kGovernor, "from", "\"half\""));
+    add("governor to half", with(kGovernor, "to", "\"half\""));
+    drop_each("governor", kGovernor,
+              {"step", "max_ulp", "tail_frac", "samples", "clean_steps",
+               "drift_budget_ulp", "tail_budget_frac"});
+
+    add("checkpoint with empty path", with(kCheckpoint, "path", "\"\""));
+    drop_each("checkpoint", kCheckpoint,
+              {"step", "version", "raw_bytes", "written_bytes", "ratio",
+               "snapshot_s", "write_s", "stall_s", "bits"});
+    add("checkpoint version 3", with(kCheckpoint, "version", "3"));
+    add("checkpoint v2 without rates", with(kCheckpoint, "bits", "[]"));
+    add("checkpoint rate below 2", with(kCheckpoint, "bits", "[1,12]"));
+    add("checkpoint rate above 32", with(kCheckpoint, "bits", "[16,33]"));
+    add("checkpoint with numeric async", with(kCheckpoint, "async", "1"));
+
+    drop_each("dist", kDist, {"step", "ranks", "wall_s", "resplits"});
+    add("dist with 0 ranks", with(kDist, "ranks", "0"));
+    for (const char* key : {"post_s", "precompute_s", "interior_s", "wait_s",
+                            "boundary_s", "halo_bytes"}) {
+        add(std::string("dist without ") + key, with(kDist, key, ""));
+        add(std::string("dist with short ") + key, with(kDist, key, "[1]"));
+        add(std::string("dist with negative ") + key,
+            with(kDist, key, "[1,-1]"));
+    }
+    add("dist with negative resplits", with(kDist, "resplits", "-1"));
+
+    drop_each("trace", kTrace, {"events", "dropped"});
+    add("trace with negative events", with(kTrace, "events", "-1"));
+    add("trace with negative dropped", with(kTrace, "dropped", "-1"));
+
+    for (const auto& [label, fields] : cases)
+        EXPECT_FALSE(problems_of(fields).empty())
+            << label << ": " << record_of(fields);
+    EXPECT_EQ(obs::schema::check_record(*json::parse("[1]")),
+              std::vector<std::string>{"record is not a JSON object"});
 }
 
 }  // namespace
