@@ -1,20 +1,21 @@
 // Distributed pipeline scaling + bitwise-equivalence gate.
 //
-// Three sections from one binary:
-//   1. Schedule x SIMD matrix on the large dam break (single thread):
-//      the first row re-times a verbatim transliteration of the
-//      pre-pipeline seed (BSP, per-cell flux lambda, separate full-grid
-//      dt pass, three fresh fields allocated per rank per step) as the
-//      1.00x baseline; the other rows are the shipped pipeline's
-//      schedule x SIMD combinations with per-phase columns. The full run
-//      enforces the >= 2x acceptance floor on overlap/native vs seed.
-//   2. Rank scaling of the overlapped native pipeline (threads follow
-//      ranks up to the host width).
+// Four sections from one binary:
+//   1. SIMD matrix on the large dam break (single thread): the first row
+//      re-times a verbatim transliteration of the pre-pipeline seed
+//      (bulk-synchronous halo exchange, per-cell flux lambda, separate
+//      full-grid dt pass, three fresh fields allocated per rank per step)
+//      as the 1.00x baseline; the other rows are the overlapped pipeline
+//      at both SIMD modes with per-phase columns. The full run enforces
+//      the >= 2x acceptance floor on overlap/native vs seed.
+//   2. Rank scaling of the native pipeline (threads follow ranks up to
+//      the host width).
 //   3. Bitwise gate: gather_height() must repeat to the last bit across
-//      every rank count (including one rank per row) x both schedules x
-//      both SIMD modes x all three precision policies. Any single-bit
-//      divergence fails the binary — this is the harness that keeps
-//      "overlap/SIMD/decomposition cannot change the physics" true.
+//      every rank count (including one rank per row) x both SIMD modes x
+//      all three precision policies. Any single-bit divergence fails the
+//      binary — this is the harness that keeps "SIMD/decomposition cannot
+//      change the physics" true.
+//   4. Tracing gate: a traced run reproduces the untraced one bit for bit.
 //
 // `--quick` shrinks the grids for CI; the bitwise gate runs in both modes.
 
@@ -41,12 +42,10 @@ struct PhaseRun {
 };
 
 template <typename P>
-PhaseRun run_phases(int grid, int steps, int ranks, bool overlap,
-                    simd::Mode mode) {
+PhaseRun run_phases(int grid, int steps, int ranks, simd::Mode mode) {
     par::DistConfig cfg;
     cfg.nx = cfg.ny = grid;
     cfg.ranks = ranks;
-    cfg.overlap = overlap;
     cfg.simd = mode;
     par::DistributedShallowSolver<P> s(cfg);
     s.initialize_dam_break();
@@ -63,12 +62,11 @@ PhaseRun run_phases(int grid, int steps, int ranks, bool overlap,
 }
 
 template <typename P>
-std::vector<double> run_state(int grid, int steps, int ranks, bool overlap,
+std::vector<double> run_state(int grid, int steps, int ranks,
                               simd::Mode mode) {
     par::DistConfig cfg;
     cfg.nx = cfg.ny = grid;
     cfg.ranks = ranks;
-    cfg.overlap = overlap;
     cfg.simd = mode;
     par::DistributedShallowSolver<P> s(cfg);
     s.initialize_dam_break();
@@ -80,10 +78,11 @@ std::string ms_per_step(double seconds, int steps) {
     return util::fixed(seconds * 1e3 / steps, 3);
 }
 
-// Faithful transliteration of the pre-pipeline solver (the "seed"): BSP
-// halo exchange, a separate full-grid wavespeed pass for dt, and a
-// per-cell flux lambda that allocates three replacement fields every
-// step. Timing-only reference — this is the denominator of the bench's
+// Faithful transliteration of the pre-pipeline solver (the "seed"):
+// bulk-synchronous halo exchange (every rank posts before any rank
+// receives), a separate full-grid wavespeed pass for dt, and a per-cell
+// flux lambda that allocates three replacement fields every step.
+// Timing-only reference — this is the denominator of the bench's
 // acceptance ratio, kept verbatim so the speedup means "shipped pipeline
 // vs what the repo used to do", not "native vs scalar of the same code".
 class SeedReference {
@@ -147,11 +146,10 @@ private:
         };
         for (int r = 0; r < ranks_count_; ++r) {
             const Rank& rk = ranks_[static_cast<std::size_t>(r)];
-            if (r > 0) comm_.send_bytes(r, r - 1, 2, pack_row(rk, 1));
+            if (r > 0) comm_.post_bytes(r, r - 1, 2, pack_row(rk, 1));
             if (r + 1 < ranks_count_)
-                comm_.send_bytes(r, r + 1, 1, pack_row(rk, rk.rows));
+                comm_.post_bytes(r, r + 1, 1, pack_row(rk, rk.rows));
         }
-        comm_.exchange();
         auto unpack_row = [&](Rank& rk, int lr, par::Message m) {
             const auto* p = reinterpret_cast<const double*>(m.bytes.data());
             for (std::size_t i = 0; i < nx; ++i) {
@@ -164,7 +162,7 @@ private:
         for (int r = 0; r < ranks_count_; ++r) {
             Rank& rk = ranks_[static_cast<std::size_t>(r)];
             if (r > 0) {
-                unpack_row(rk, 0, comm_.recv(r, r - 1, 1));
+                unpack_row(rk, 0, comm_.complete(r, r - 1, 1));
             } else {
                 for (int i = 0; i < nx_; ++i) {
                     rk.h[idx(rk, 0, i)] = rk.h[idx(rk, 1, i)];
@@ -173,7 +171,7 @@ private:
                 }
             }
             if (r + 1 < ranks_count_) {
-                unpack_row(rk, rk.rows + 1, comm_.recv(r, r + 1, 2));
+                unpack_row(rk, rk.rows + 1, comm_.complete(r, r + 1, 2));
             } else {
                 for (int i = 0; i < nx_; ++i) {
                     rk.h[idx(rk, rk.rows + 1, i)] = rk.h[idx(rk, rk.rows, i)];
@@ -289,29 +287,27 @@ int main(int argc, char** argv) {
     bench::print_scale_note(
         "distributed dam break " + std::to_string(grid) + "^2 x" +
         std::to_string(steps) + " steps, 4 simulated ranks, 1 thread for "
-        "the schedule matrix");
+        "the SIMD matrix");
 
-    // --- 1. Schedule x SIMD matrix --------------------------------------
+    // --- 1. SIMD matrix -------------------------------------------------
     util::set_threads(1);
-    util::TextTable t1("Schedule x SIMD on " + std::to_string(grid) +
+    util::TextTable t1("SIMD matrix on " + std::to_string(grid) +
                        "^2, full precision, 4 ranks, 1 thread");
-    t1.set_header({"schedule/simd", "step ms", "pack", "pre", "wait",
+    t1.set_header({"pipeline/simd", "step ms", "pack", "pre", "wait",
                    "interior", "boundary", "speedup"});
     struct Combo {
         const char* label;
-        bool overlap;
         simd::Mode mode;
     };
     const Combo combos[] = {
-        {"bsp/scalar", false, simd::Mode::Scalar},
-        {"bsp/native", false, simd::Mode::Native},
-        {"overlap/scalar", true, simd::Mode::Scalar},
-        {"overlap/native", true, simd::Mode::Native},
+        {"overlap/scalar", simd::Mode::Scalar},
+        {"overlap/native", simd::Mode::Native},
     };
-    double base_seconds = 0.0, overlap_native_speedup = 0.0;
+    double base_seconds = 0.0, native_speedup = 0.0;
     {
-        // Baseline: the pre-pipeline seed (BSP, per-cell lambda, separate
-        // dt pass, three fresh fields per rank per step). Best-of-two.
+        // Baseline: the pre-pipeline seed (bulk-synchronous exchange,
+        // per-cell lambda, separate dt pass, three fresh fields per rank
+        // per step). Best-of-two.
         util::WallTimer t;
         SeedReference(grid, 4).run(steps);
         base_seconds = t.elapsed_seconds();
@@ -324,15 +320,13 @@ int main(int argc, char** argv) {
     for (const Combo& c : combos) {
         // Best-of-two: the matrix's point is the ratio, and timings
         // jitter on a shared host.
-        PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, 4,
-                                                   c.overlap, c.mode);
-        const PhaseRun r2 = run_phases<fp::FullPrecision>(grid, steps, 4,
-                                                          c.overlap, c.mode);
+        PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, 4, c.mode);
+        const PhaseRun r2 =
+            run_phases<fp::FullPrecision>(grid, steps, 4, c.mode);
         if (r2.step_seconds < r.step_seconds) r = r2;
         const double speedup =
             r.step_seconds > 0.0 ? base_seconds / r.step_seconds : 0.0;
-        if (std::string(c.label) == "overlap/native")
-            overlap_native_speedup = speedup;
+        if (c.mode == simd::Mode::Native) native_speedup = speedup;
         t1.add_row({c.label, ms_per_step(r.step_seconds, steps),
                     ms_per_step(r.pack, steps), ms_per_step(r.pre, steps),
                     ms_per_step(r.wait, steps),
@@ -343,16 +337,15 @@ int main(int argc, char** argv) {
     t1.print();
     std::printf("\n");
 
-    // --- 2. Rank scaling of the overlapped native pipeline --------------
+    // --- 2. Rank scaling of the native pipeline -------------------------
     util::set_threads(0);  // hardware default
-    util::TextTable t2("Rank scaling, overlap/native, threads = min(ranks, "
+    util::TextTable t2("Rank scaling, native SIMD, threads = min(ranks, "
                        "hw), " +
                        std::to_string(grid) + "^2");
     t2.set_header({"ranks", "step ms", "pre", "interior", "boundary",
                    "wait", "halo MiB"});
     for (const int ranks : {1, 2, 4, 8}) {
         const PhaseRun r = run_phases<fp::FullPrecision>(grid, steps, ranks,
-                                                         true,
                                                          simd::Mode::Native);
         t2.add_row({std::to_string(ranks),
                     ms_per_step(r.step_seconds, steps),
@@ -372,25 +365,22 @@ int main(int argc, char** argv) {
     const int gsteps = quick ? 12 : 25;
     int failures = 0;
     util::TextTable t3("Bitwise gate: gather_height across rank count x "
-                       "schedule x SIMD (" +
+                       "SIMD (" +
                        std::to_string(ggrid) + "^2, " +
                        std::to_string(gsteps) + " steps)");
     t3.set_header({"policy", "combos", "verdict"});
     auto gate = [&]<typename P>(const std::string& label) {
-        const std::vector<double> ref = run_state<P>(
-            ggrid, gsteps, 1, false, simd::Mode::Scalar);
+        const std::vector<double> ref =
+            run_state<P>(ggrid, gsteps, 1, simd::Mode::Scalar);
         int combos = 1, bad = 0;
         for (const int ranks : {1, 2, 3, ggrid})
-            for (const bool overlap : {false, true})
-                for (const simd::Mode mode :
-                     {simd::Mode::Scalar, simd::Mode::Native}) {
-                    if (ranks == 1 && !overlap && mode == simd::Mode::Scalar)
-                        continue;  // that is the reference itself
-                    ++combos;
-                    if (run_state<P>(ggrid, gsteps, ranks, overlap, mode) !=
-                        ref)
-                        ++bad;
-                }
+            for (const simd::Mode mode :
+                 {simd::Mode::Scalar, simd::Mode::Native}) {
+                if (ranks == 1 && mode == simd::Mode::Scalar)
+                    continue;  // that is the reference itself
+                ++combos;
+                if (run_state<P>(ggrid, gsteps, ranks, mode) != ref) ++bad;
+            }
         failures += bad;
         t3.add_row({label, std::to_string(combos),
                     bad == 0 ? "IDENTICAL"
@@ -405,39 +395,36 @@ int main(int argc, char** argv) {
     // The flight recorder observes, never steers: running the same
     // pipeline with the cross-rank trace session active (rank spans +
     // message edges recording) must reproduce the untraced height field
-    // bit for bit, in both schedules.
+    // bit for bit.
     {
         const std::string trace_path =
             (std::filesystem::temp_directory_path() /
              "table_dist_scaling.trace.json")
                 .string();
         int traced_bad = 0;
-        for (const bool overlap : {false, true}) {
-            const std::vector<double> ref = run_state<fp::MixedPrecision>(
-                ggrid, gsteps, 4, overlap, simd::Mode::Native);
-            obs::trace_start(trace_path);
-            const std::vector<double> traced =
-                run_state<fp::MixedPrecision>(ggrid, gsteps, 4, overlap,
-                                              simd::Mode::Native);
-            const std::size_t events = obs::trace_stop();
-            if (traced != ref) ++traced_bad;
-            if (events == 0) ++traced_bad;  // the recorder saw nothing
-        }
+        const std::vector<double> ref = run_state<fp::MixedPrecision>(
+            ggrid, gsteps, 4, simd::Mode::Native);
+        obs::trace_start(trace_path);
+        const std::vector<double> traced = run_state<fp::MixedPrecision>(
+            ggrid, gsteps, 4, simd::Mode::Native);
+        const std::size_t events = obs::trace_stop();
+        if (traced != ref) ++traced_bad;
+        if (events == 0) ++traced_bad;  // the recorder saw nothing
         std::remove(trace_path.c_str());
         std::printf("\ntracing gate: %s\n",
                     traced_bad == 0
-                        ? "traced runs bit-identical to untraced"
+                        ? "traced run bit-identical to untraced"
                         : "TRACED RUN DIVERGED from untraced!");
         failures += traced_bad;
     }
 
     std::printf(
-        "\noverlap/native speedup over the seed BSP scalar step: %.2fx "
+        "\noverlap/native speedup over the seed scalar step: %.2fx "
         "(acceptance floor: 2.0x%s)\n%s\n",
-        overlap_native_speedup, quick ? ", not enforced in --quick" : "",
+        native_speedup, quick ? ", not enforced in --quick" : "",
         failures == 0 ? "All decompositions bit-identical."
                       : "BITWISE MISMATCH across decompositions!");
     if (failures != 0) return 1;
-    if (!quick && overlap_native_speedup < 2.0) return 1;
+    if (!quick && native_speedup < 2.0) return 1;
     return 0;
 }

@@ -3,7 +3,7 @@
 // conservation and timing, and optionally writes a checkpoint and a
 // line-cut CSV.
 //
-//   $ ./dam_break --precision mixed --grid 128 --levels 2 --steps 400 \
+//   $ ./dam_break --precision mixed --grid 128 --levels 2 --steps 400
 //                 --cut cut.csv --checkpoint state.ckpt
 
 #include <bit>
@@ -57,9 +57,7 @@ int run(const util::ArgParser& args) {
          {"courant", std::to_string(cfg.courant)},
          {"governor", gov_cfg.enabled ? "on" : "off"},
          {"drift_budget", std::to_string(gov_cfg.drift_budget_ulp)},
-         {"checkpoint_compress", args.get_string("checkpoint-compress")},
-         {"checkpoint_async",
-          args.get_flag("checkpoint-async") ? "on" : "off"}});
+         {"checkpoint_compress", args.get_string("checkpoint-compress")}});
 
     // The governor outlives the solver's use of it; the record sink routes
     // each transition into the metrics stream as a {"type":"governor"} line.
@@ -86,33 +84,13 @@ int run(const util::ArgParser& args) {
     }
     const double mass0 = solver.total_mass();
 
-    // One checkpoint sink for both cadences (periodic and final): the
-    // synchronous path writes inline and emits the metrics record itself;
-    // the asynchronous path snapshots and hands off to the writer thread,
-    // which emits the record (byte-identical output either way).
+    // One checkpoint sink for both cadences (periodic and final): each
+    // checkpoint snapshots here and hands off to the writer thread, which
+    // writes the file and emits the metrics record.
     io::AsyncCheckpointer<shallow::ShallowWaterSolver<Policy>> async_ckpt(
         ckpt_opt);
-    const bool ckpt_async = args.get_flag("checkpoint-async");
     const std::string ckpt_path = args.get_string("checkpoint");
     const int ckpt_interval = args.get_int("checkpoint-interval");
-    auto write_ckpt = [&](const std::string& path) {
-        if (ckpt_async) {
-            async_ckpt.checkpoint(solver, path);
-            return;
-        }
-        util::WallTimer write_timer;
-        std::ofstream os(path, std::ios::binary);
-        if (!os)
-            throw std::runtime_error("checkpoint: cannot open " + path);
-        const io::CheckpointWriteInfo info =
-            solver.write_checkpoint(os, ckpt_opt);
-        os.flush();
-        io::require_write(os);
-        if (obs::metrics().is_open())
-            obs::metrics().write_line(io::checkpoint_record(
-                path, solver.step_count(), info, 0.0,
-                write_timer.elapsed_seconds(), 0.0, false));
-    };
     std::printf(
         "initialized: %zu cells (%d levels), initial mass %.6e, "
         "%d thread%s (OpenMP %s)\n",
@@ -154,8 +132,8 @@ int run(const util::ArgParser& args) {
         }
         if (!ckpt_path.empty() && ckpt_interval > 0 &&
             solver.step_count() % ckpt_interval == 0)
-            write_ckpt(ckpt_path + "." +
-                       std::to_string(solver.step_count()));
+            async_ckpt.checkpoint(
+                solver, ckpt_path + "." + std::to_string(solver.step_count()));
         if (args.get_flag("verbose") && (s + 1) % report == 0)
             std::printf("  step %6d  t=%.5f  dt=%.3e  cells=%zu\n", s + 1,
                         solver.time(), dt, solver.mesh().num_cells());
@@ -228,13 +206,11 @@ int run(const util::ArgParser& args) {
         std::printf("wrote line-cut to %s\n", path.c_str());
     }
     if (!ckpt_path.empty()) {
-        write_ckpt(ckpt_path);
+        async_ckpt.checkpoint(solver, ckpt_path);
         async_ckpt.finish();  // rethrows the first writer-thread error
-        std::printf("wrote checkpoint to %s%s\n", ckpt_path.c_str(),
-                    ckpt_async ? " (async)" : "");
-        if (ckpt_async)
-            std::printf("async checkpoint stall: %.3f s solver-side\n",
-                        async_ckpt.stall_seconds());
+        std::printf("wrote checkpoint to %s\n", ckpt_path.c_str());
+        std::printf("async checkpoint stall: %.3f s solver-side\n",
+                    async_ckpt.stall_seconds());
     }
     return 0;
 }

@@ -11,7 +11,7 @@
 // restores one before stepping, at any rank count.
 //
 //   $ ./dam_break_dist --precision mixed --grid 256 --ranks 8
-//                      --overlap on --simd native --metrics run.jsonl
+//                      --simd native --metrics run.jsonl
 //   $ ./dam_break_dist --ranks 4 --checkpoint run.ck
 //   $ ./dam_break_dist --ranks 3 --restart run.ck
 
@@ -64,10 +64,6 @@ int run(const util::ArgParser& args) {
     cfg.courant = args.get_double("courant");
     cfg.simd = util::apply_simd_option(args);
     cfg.lb_interval = args.get_int("lb-interval");
-    const std::string overlap = args.get_string("overlap");
-    if (overlap != "on" && overlap != "off")
-        throw std::invalid_argument("--overlap must be on or off");
-    cfg.overlap = overlap == "on";
     const auto ckpt_opt = io::parse_checkpoint_compress(
         args.get_string("checkpoint-compress"));
     const std::string ckpt_base = args.get_string("checkpoint");
@@ -81,7 +77,6 @@ int run(const util::ArgParser& args) {
          {"simd", simd::use_native(cfg.simd) ? simd::isa_name() : "scalar"},
          {"grid", std::to_string(cfg.nx)},
          {"ranks", std::to_string(cfg.ranks)},
-         {"overlap", overlap},
          {"lb_interval", std::to_string(cfg.lb_interval)},
          {"courant", std::to_string(cfg.courant)}});
 
@@ -96,10 +91,9 @@ int run(const util::ArgParser& args) {
     }
     const double mass0 = solver.total_mass();
     std::printf(
-        "initialized: %d x %d cells on %d ranks (%s schedule), initial "
-        "mass %.6e, %d thread%s (OpenMP %s)\n",
-        cfg.nx, cfg.ny, cfg.ranks, cfg.overlap ? "overlapped" : "BSP",
-        mass0, nthreads, nthreads == 1 ? "" : "s",
+        "initialized: %d x %d cells on %d ranks, initial mass %.6e, %d "
+        "thread%s (OpenMP %s)\n",
+        cfg.nx, cfg.ny, cfg.ranks, mass0, nthreads, nthreads == 1 ? "" : "s",
         util::openmp_enabled() ? "on" : "off");
 
     const int steps = args.get_int("steps");
@@ -172,11 +166,9 @@ int run(const util::ArgParser& args) {
     const double seconds = timer.elapsed_seconds();
 
     std::printf(
-        "ran %d steps to t=%.5f in %.3f s (%s precision, %s kernel, "
-        "%s schedule)\n",
+        "ran %d steps to t=%.5f in %.3f s (%s precision, %s kernel)\n",
         steps, solver.time(), seconds, std::string(Policy::name).c_str(),
-        simd::use_native(cfg.simd) ? simd::isa_name() : "scalar",
-        cfg.overlap ? "overlapped" : "BSP");
+        simd::use_native(cfg.simd) ? simd::isa_name() : "scalar");
     std::printf(
         "phases: pack %.3f s | pre %.3f s | wait %.3f s | "
         "interior %.3f s | boundary %.3f s\n",
@@ -232,7 +224,6 @@ int main(int argc, char** argv) {
     args.add_int_option("grid", "global cells per side", "128");
     args.add_int_option("steps", "time steps to run", "100");
     args.add_int_option("ranks", "simulated rank count", "4");
-    args.add_option("overlap", "on | off (BSP baseline)", "on");
     args.add_int_option("lb-interval",
                         "re-split rows by measured cost every N steps "
                         "(0 = static partition)",
@@ -249,7 +240,7 @@ int main(int argc, char** argv) {
                     "stepping (any rank count)",
                     "");
     args.add_option("checkpoint-compress",
-                    "restart shard payloads: off|drift|<bits in [2,32]>",
+                    "restart shard encoding: off|drift|<bits in [2,32]>",
                     "off");
     util::add_threads_option(args);
     obs::add_obs_options(args);

@@ -3,8 +3,8 @@
 // Checks that a Chrome-trace file and/or a metrics JSON-Lines file are
 // well-formed and carry the records a healthy run must produce:
 //
-//   $ ./obs_check --trace=run.trace.json \
-//                 --metrics=run.metrics.jsonl \
+//   $ ./obs_check --trace=run.trace.json
+//                 --metrics=run.metrics.jsonl
 //                 --require=clamr.step,clamr.flux_sweep,clamr.rezone
 //
 // Exit status is 0 when every check passes, 1 otherwise, with one line

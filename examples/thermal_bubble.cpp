@@ -2,7 +2,7 @@
 // standalone command-line tool. Simulates a warm bubble rising in a
 // neutrally stratified atmosphere with the DG spectral element solver.
 //
-//   $ ./thermal_bubble --precision single --elements 6 --order 7 \
+//   $ ./thermal_bubble --precision single --elements 6 --order 7
 //                      --steps 50 --lineout rho.csv
 
 #include <cstdio>
@@ -51,9 +51,7 @@ int run(const util::ArgParser& args) {
          {"courant", std::to_string(cfg.courant)},
          {"governor", gov_cfg.enabled ? "on" : "off"},
          {"drift_budget", std::to_string(gov_cfg.drift_budget_ulp)},
-         {"checkpoint_compress", args.get_string("checkpoint-compress")},
-         {"checkpoint_async",
-          args.get_flag("checkpoint-async") ? "on" : "off"}});
+         {"checkpoint_compress", args.get_string("checkpoint-compress")}});
 
     // The governor outlives the solver's use of it; the record sink routes
     // each transition into the metrics stream as a {"type":"governor"} line.
@@ -79,32 +77,12 @@ int run(const util::ArgParser& args) {
     }
     const double mass0 = solver.total_mass_perturbation();
 
-    // Shared checkpoint sink (see dam_break.cpp): synchronous writes
-    // emit the metrics record inline; asynchronous writes snapshot here
-    // and report from the writer thread. Bytes are identical either way.
+    // Shared checkpoint sink (see dam_break.cpp): each checkpoint
+    // snapshots here and is written and reported by the writer thread.
     io::AsyncCheckpointer<sem::SpectralEulerSolver<Policy>> async_ckpt(
         ckpt_opt);
-    const bool ckpt_async = args.get_flag("checkpoint-async");
     const std::string ckpt_path = args.get_string("checkpoint");
     const int ckpt_interval = args.get_int("checkpoint-interval");
-    auto write_ckpt = [&](const std::string& path) {
-        if (ckpt_async) {
-            async_ckpt.checkpoint(solver, path);
-            return;
-        }
-        util::WallTimer write_timer;
-        std::ofstream os(path, std::ios::binary);
-        if (!os)
-            throw std::runtime_error("checkpoint: cannot open " + path);
-        const io::CheckpointWriteInfo info =
-            solver.write_checkpoint(os, ckpt_opt);
-        os.flush();
-        io::require_write(os);
-        if (obs::metrics().is_open())
-            obs::metrics().write_line(io::checkpoint_record(
-                path, solver.step_count(), info, 0.0,
-                write_timer.elapsed_seconds(), 0.0, false));
-    };
     std::printf(
         "initialized: %d^3 elements, order %d, %zu nodes (%zu DOF), "
         "%d thread%s\n",
@@ -144,8 +122,8 @@ int run(const util::ArgParser& args) {
                     .str());
         if (!ckpt_path.empty() && ckpt_interval > 0 &&
             solver.step_count() % ckpt_interval == 0)
-            write_ckpt(ckpt_path + "." +
-                       std::to_string(solver.step_count()));
+            async_ckpt.checkpoint(
+                solver, ckpt_path + "." + std::to_string(solver.step_count()));
         if (args.get_flag("verbose") && (s + 1) % report == 0)
             std::printf("  step %5d  t=%.4f  dt=%.3e  max w-momentum "
                         "%.3e\n",
@@ -185,10 +163,9 @@ int run(const util::ArgParser& args) {
                 util::human_bytes(solver.checkpoint_bytes(ckpt_opt)).c_str(),
                 ckpt_opt.compressed() ? " (compressed)" : "");
     if (!ckpt_path.empty()) {
-        write_ckpt(ckpt_path);
+        async_ckpt.checkpoint(solver, ckpt_path);
         async_ckpt.finish();  // rethrows the first writer-thread error
-        std::printf("wrote checkpoint to %s%s\n", ckpt_path.c_str(),
-                    ckpt_async ? " (async)" : "");
+        std::printf("wrote checkpoint to %s\n", ckpt_path.c_str());
     }
 
     if (const std::string path = args.get_string("lineout");

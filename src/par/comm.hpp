@@ -2,24 +2,15 @@
 // Simulated message passing for distributed-memory experiments.
 //
 // CLAMR is an MPI mini-app, and the paper's §III.C is about what parallel
-// decomposition does to global sums. We simulate ranks: a VirtualComm owns
-// R mailboxes and the drivers run the ranks' compute phases (possibly on
-// an OpenMP team, one rank per task) between communication calls. Two
-// schedules are supported, mirroring the two MPI idioms:
-//
-//   * BSP: send()/send_bytes() enqueue, exchange() is the phase barrier
-//     that delivers everything, recv() retrieves — the classic
-//     bulk-synchronous halo exchange (all sends of a phase complete
-//     before any receive of the next);
-//   * nonblocking: post_bytes() puts a message "in flight" immediately
-//     (MPI_Isend against a pre-posted MPI_Irecv), the rank computes
-//     whatever does not depend on the ghost data, and complete() waits
-//     on one message — there is no global barrier, so interior work
-//     overlaps the exchange exactly as it would over a real wire.
-//
-// Both schedules move identical bytes through identical matching rules,
-// which is what lets the overlapped solver pipeline be verified bitwise
-// against the BSP one.
+// decomposition does to global sums. We simulate ranks: a VirtualComm
+// holds the messages in flight between R ranks, and the driver runs the
+// ranks' compute phases (possibly on an OpenMP team, one rank per task)
+// between communication calls. There is one schedule, the nonblocking MPI
+// idiom: post_bytes() puts a message in flight immediately (MPI_Isend
+// against a pre-posted MPI_Irecv), the rank computes whatever does not
+// depend on the ghost data, and complete() waits on one message matched
+// by (source, tag). There is no global barrier, so interior work overlaps
+// the exchange exactly as it would over a real wire.
 //
 // Because ranks are virtual and in-process, the communicator is also the
 // natural tap for the cross-rank flight recorder (DESIGN.md §15): every
@@ -30,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -39,52 +29,27 @@
 
 namespace tp::par {
 
-/// A tagged point-to-point message. Reduction-style traffic uses the
-/// double `payload`; halo exchange uses the raw `bytes` payload so the
-/// wire carries storage-precision values (a float-storage policy moves
-/// half the bytes of a double one, as a real MPI datatype would).
+/// A tagged point-to-point message of raw bytes, so the wire carries
+/// storage-precision values (a float-storage policy moves half the bytes
+/// of a double one, as a real MPI datatype would).
 struct Message {
     int source = 0;
     int tag = 0;
-    std::vector<double> payload;
     std::vector<std::byte> bytes;
-    /// Trace timestamp of the send/post (obs::detail::trace_now_ns()),
+    /// Trace timestamp of the post (obs::detail::trace_now_ns()),
     /// stamped only while tracing — 0 otherwise.
     std::int64_t post_ns = 0;
 };
 
-/// Mailbox-based communicator for R virtual ranks.
+/// Nonblocking communicator for R virtual ranks.
 class VirtualComm {
 public:
     explicit VirtualComm(int size)
-        : size_(size),
-          boxes_(static_cast<std::size_t>(size)),
-          rank_bytes_sent_(static_cast<std::size_t>(size), 0) {
+        : size_(size), rank_bytes_sent_(static_cast<std::size_t>(size), 0) {
         if (size < 1) throw std::invalid_argument("VirtualComm: size < 1");
     }
 
     [[nodiscard]] int size() const { return size_; }
-
-    /// Enqueue a message for `dest` (delivered at the next phase).
-    void send(int source, int dest, int tag, std::vector<double> payload) {
-        check_rank(source);
-        check_rank(dest);
-        account_send(source, payload.size() * sizeof(double));
-        pending_.push_back(
-            {dest, Message{source, tag, std::move(payload), {}, stamp()}});
-    }
-
-    /// Enqueue a raw-byte message (typed halo traffic). Pair with
-    /// acquire()/release() to recycle buffers instead of allocating one
-    /// per send.
-    void send_bytes(int source, int dest, int tag,
-                    std::vector<std::byte> payload) {
-        check_rank(source);
-        check_rank(dest);
-        account_send(source, payload.size());
-        pending_.push_back(
-            {dest, Message{source, tag, {}, std::move(payload), stamp()}});
-    }
 
     /// A buffer of `n` bytes, reusing a previously release()d one when
     /// available — the steady state of a halo-exchange loop allocates
@@ -97,41 +62,33 @@ public:
         return buf;
     }
 
-    /// Return a drained payload buffer to the pool.
+    /// Return a drained message buffer to the pool.
     void release(std::vector<std::byte> buf) {
         pool_.push_back(std::move(buf));
     }
 
-    /// Total payload bytes pushed through send()/send_bytes()/
-    /// post_bytes().
+    /// Total bytes posted through post_bytes().
     [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_sent_; }
 
-    /// Payload bytes sent BY `rank` (as the source). Deterministic for a
+    /// Bytes posted BY `rank` (as the source). Deterministic for a
     /// fixed decomposition, so tests pin per-edge trace bytes to it.
     [[nodiscard]] std::uint64_t bytes_sent(int rank) const {
         check_rank(rank);
         return rank_bytes_sent_[static_cast<std::size_t>(rank)];
     }
 
-    /// Deliver all pending sends — the BSP phase boundary.
-    void exchange() {
-        for (auto& [dest, msg] : pending_)
-            boxes_[static_cast<std::size_t>(dest)].push_back(
-                std::move(msg));
-        pending_.clear();
-    }
-
     /// Nonblocking send: the message is in flight immediately, with no
-    /// phase barrier — the receiver claims it with complete(). The byte
-    /// payload cycles through the acquire()/release() pool like
-    /// send_bytes()'s.
+    /// phase barrier — the receiver claims it with complete(). Pair with
+    /// acquire()/release() to recycle buffers instead of allocating one
+    /// per post.
     void post_bytes(int source, int dest, int tag,
-                    std::vector<std::byte> payload) {
+                    std::vector<std::byte> bytes) {
         check_rank(source);
         check_rank(dest);
-        account_send(source, payload.size());
+        bytes_sent_ += bytes.size();
+        rank_bytes_sent_[static_cast<std::size_t>(source)] += bytes.size();
         in_flight_.push_back(
-            {dest, Message{source, tag, {}, std::move(payload), stamp()}});
+            {dest, Message{source, tag, std::move(bytes), stamp()}});
     }
 
     /// Wait on one posted message (MPI_Wait on the matching request);
@@ -153,33 +110,8 @@ public:
             "VirtualComm::complete: no matching posted message");
     }
 
-    /// Retrieve (and remove) the message from `source` with `tag`;
-    /// throws if absent — a deadlock in the simulated schedule.
-    /// Retrieval is matched by (source, tag), never by queue position, so
-    /// the erase is a swap-with-back + pop: O(1) instead of the
-    /// scan-and-middle-erase O(mailbox) memmove this used to do.
-    [[nodiscard]] Message recv(int rank, int source, int tag) {
-        check_rank(rank);
-        auto& box = boxes_[static_cast<std::size_t>(rank)];
-        for (std::size_t i = 0; i < box.size(); ++i) {
-            if (box[i].source == source && box[i].tag == tag) {
-                Message m = std::move(box[i]);
-                box[i] = std::move(box.back());
-                box.pop_back();
-                record_edge(rank, m);
-                return m;
-            }
-        }
-        throw std::runtime_error("VirtualComm::recv: no matching message");
-    }
-
-    /// True when every mailbox is empty and nothing is pending or in
-    /// flight (no unconsumed traffic).
-    [[nodiscard]] bool drained() const {
-        for (const auto& box : boxes_)
-            if (!box.empty()) return false;
-        return pending_.empty() && in_flight_.empty();
-    }
+    /// True when nothing is in flight (no unconsumed traffic).
+    [[nodiscard]] bool drained() const { return in_flight_.empty(); }
 
 private:
     void check_rank(int r) const {
@@ -187,12 +119,7 @@ private:
             throw std::out_of_range("VirtualComm: bad rank");
     }
 
-    void account_send(int source, std::size_t n) {
-        bytes_sent_ += n;
-        rank_bytes_sent_[static_cast<std::size_t>(source)] += n;
-    }
-
-    /// Trace timestamp for a send, or 0 when tracing is off (one relaxed
+    /// Trace timestamp for a post, or 0 when tracing is off (one relaxed
     /// load, no clock read — the zero-cost-off contract).
     [[nodiscard]] static std::int64_t stamp() {
         return obs::trace_enabled() ? obs::detail::trace_now_ns() : 0;
@@ -202,14 +129,11 @@ private:
     /// endpoints and both timestamps are known.
     static void record_edge(int rank, const Message& m) {
         if (!obs::trace_enabled()) return;
-        obs::trace_edge(m.source, rank, m.tag,
-                        m.payload.size() * sizeof(double) + m.bytes.size(),
-                        m.post_ns, obs::detail::trace_now_ns());
+        obs::trace_edge(m.source, rank, m.tag, m.bytes.size(), m.post_ns,
+                        obs::detail::trace_now_ns());
     }
 
     int size_;
-    std::vector<std::vector<Message>> boxes_;
-    std::vector<std::pair<int, Message>> pending_;
     std::vector<std::pair<int, Message>> in_flight_;
     std::vector<std::vector<std::byte>> pool_;
     std::uint64_t bytes_sent_ = 0;

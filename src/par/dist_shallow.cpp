@@ -211,17 +211,9 @@ void DistributedShallowSolver<Policy>::post_halos() {
         rk.wavespeed = compute_t(0);
         TP_OBS_SPAN_RANK("dist.rank.post", r);
         util::WallTimer t;
-        if (cfg_.overlap) {
-            if (r > 0)
-                comm_.post_bytes(r, r - 1, kTagDown, pack_row(rk, 1));
-            if (r + 1 < cfg_.ranks)
-                comm_.post_bytes(r, r + 1, kTagUp, pack_row(rk, rk.rows));
-        } else {
-            if (r > 0)
-                comm_.send_bytes(r, r - 1, kTagDown, pack_row(rk, 1));
-            if (r + 1 < cfg_.ranks)
-                comm_.send_bytes(r, r + 1, kTagUp, pack_row(rk, rk.rows));
-        }
+        if (r > 0) comm_.post_bytes(r, r - 1, kTagDown, pack_row(rk, 1));
+        if (r + 1 < cfg_.ranks)
+            comm_.post_bytes(r, r + 1, kTagUp, pack_row(rk, rk.rows));
         rank_phase_[static_cast<std::size_t>(r)].post +=
             t.elapsed_seconds();
     }
@@ -229,9 +221,8 @@ void DistributedShallowSolver<Policy>::post_halos() {
 
 template <fp::PrecisionPolicy Policy>
 void DistributedShallowSolver<Policy>::complete_halos() {
-    // BSP needs its phase barrier first; the overlapped schedule claims
-    // each in-flight message individually (MPI_Wait per request).
-    if (!cfg_.overlap) comm_.exchange();
+    // Each in-flight message is claimed individually (MPI_Wait per
+    // request); there is no phase barrier.
     const auto nx = static_cast<std::size_t>(cfg_.nx);
     auto unpack_row = [&](Rank& rk, int local_row, Message m) {
         const auto* p = reinterpret_cast<const storage_t*>(m.bytes.data());
@@ -248,9 +239,7 @@ void DistributedShallowSolver<Policy>::complete_halos() {
         TP_OBS_SPAN_RANK("dist.rank.wait", r);
         util::WallTimer t;
         if (r > 0) {
-            unpack_row(rk, 0,
-                       cfg_.overlap ? comm_.complete(r, r - 1, kTagUp)
-                                    : comm_.recv(r, r - 1, kTagUp));
+            unpack_row(rk, 0, comm_.complete(r, r - 1, kTagUp));
         } else {
             // Reflective y wall: mirror the adjacent row with the normal
             // momentum negated.
@@ -261,9 +250,7 @@ void DistributedShallowSolver<Policy>::complete_halos() {
             }
         }
         if (r + 1 < cfg_.ranks) {
-            unpack_row(rk, rk.rows + 1,
-                       cfg_.overlap ? comm_.complete(r, r + 1, kTagDown)
-                                    : comm_.recv(r, r + 1, kTagDown));
+            unpack_row(rk, rk.rows + 1, comm_.complete(r, r + 1, kTagDown));
         } else {
             for (int i = 1; i <= cfg_.nx; ++i) {
                 rk.h[idx(rk.rows + 1, i)] = rk.h[idx(rk.rows, i)];
@@ -521,18 +508,9 @@ double DistributedShallowSolver<Policy>::step() {
         timers_.add("halo_pack", s_pack);
     }
     const std::uint64_t bytes_posted = comm_.bytes_sent();
-    if (!cfg_.overlap) {
-        // BSP baseline: the phase barrier sits before any update work.
-        TP_OBS_SPAN("dist.halo_wait");
-        util::WallTimer t;
-        complete_halos();
-        s_wait = t.elapsed_seconds();
-        timers_.add("halo_wait", s_wait);
-    }
     {
-        // Owned-row precompute + CFL fold reads only owned state, so in
-        // overlap mode it runs while the boundary-row exchange is in
-        // flight.
+        // Owned-row precompute + CFL fold reads only owned state, so it
+        // runs while the boundary-row exchange is in flight.
         TP_OBS_SPAN("dist.precompute");
         util::WallTimer t;
         precompute_interior();
@@ -541,8 +519,8 @@ double DistributedShallowSolver<Policy>::step() {
     }
     const double dt = fused_dt();
     {
-        // Interior rows read only owned rows too — still inside the
-        // overlap window.
+        // Interior rows read only owned rows too — still while the
+        // exchange is in flight.
         TP_OBS_SPAN("dist.interior");
         util::WallTimer t;
         update_interior(dt);
@@ -550,7 +528,7 @@ double DistributedShallowSolver<Policy>::step() {
         s_update += s;
         timers_.add("interior", s);
     }
-    if (cfg_.overlap) {
+    {
         TP_OBS_SPAN("dist.halo_wait");
         util::WallTimer t;
         complete_halos();
@@ -587,11 +565,11 @@ double DistributedShallowSolver<Policy>::step() {
                    cells * (3 * sizeof(storage_t) + 6 * sizeof(compute_t)),
                    mixed ? cells * 10 : 0, cells * 3 * sizeof(storage_t),
                    threads, lanes);
-    // Halo bytes per phase, not one lumped counter: every boundary-row
-    // payload ships during the post phase and the wait phase claims
+    // Halo bytes per phase, not one lumped counter: every boundary row
+    // ships during the post phase and the wait phase only claims
     // them, so "dist_halo_post" carries the wire bytes and
-    // "dist_halo_wait" the (normally zero) stragglers — their sum is
-    // exactly this step's halo_bytes_sent() delta in both schedules.
+    // "dist_halo_wait" always records 0 — their sum is exactly this
+    // step's halo_bytes_sent() delta.
     ledger_.record("dist_halo_post", s_pack, 0, 0, bytes_posted - bytes0);
     ledger_.record("dist_halo_wait", s_wait, 0, 0,
                    comm_.bytes_sent() - bytes_posted);

@@ -19,7 +19,7 @@
 // ghost values are bit-identical to the owner's values, ranks are
 // independent given their ghosts, and the wavespeed max is order-free, the
 // *state* evolution is bitwise independent of the rank count, the thread
-// count, the SIMD width, the overlap mode, and the row partition — which
+// count, the SIMD width, and the row partition — which
 // is what lets measured-cost dynamic load balancing re-split the stripes
 // mid-run without touching a bit of the solution. The *diagnostics* are
 // only as reproducible as their reduction algorithm — precisely the
@@ -53,10 +53,6 @@ struct DistConfig {
     int ranks = 4;
     ReduceAlgorithm mass_algorithm = ReduceAlgorithm::Naive;
     simd::Mode simd = simd::Mode::Auto;
-    /// Overlapped pipeline (post / interior / complete / boundary) when
-    /// true, classic BSP (exchange, then all rows) when false. Bitwise
-    /// identical either way; BSP is the measured baseline.
-    bool overlap = true;
     /// Re-split the row stripes by measured per-rank cost every this many
     /// steps (0 = keep the static partition). Bitwise invisible in the
     /// solution state: the re-split carries rows over exactly.
@@ -102,14 +98,14 @@ public:
     [[nodiscard]] std::int64_t step_count() const { return step_count_; }
     [[nodiscard]] int ranks() const { return cfg_.ranks; }
 
-    /// Total halo payload bytes shipped so far. Scales with
+    /// Total halo bytes shipped so far. Scales with
     /// sizeof(storage_t): a float-storage policy moves half the halo
     /// traffic of a double one.
     [[nodiscard]] std::uint64_t halo_bytes_sent() const {
         return comm_.bytes_sent();
     }
 
-    /// Halo payload bytes sent by one rank (deterministic for a fixed
+    /// Halo bytes sent by one rank (deterministic for a fixed
     /// partition — the flight recorder's per-edge bytes sum to this).
     [[nodiscard]] std::uint64_t halo_bytes_sent(int rank) const {
         return comm_.bytes_sent(rank);
@@ -122,7 +118,7 @@ public:
         return rank_phase_;
     }
 
-    /// True when no posted or pending message is left unconsumed — every
+    /// True when no posted message is left unconsumed — every
     /// run must end drained, or the simulated schedule leaked traffic.
     [[nodiscard]] bool comm_drained() const { return comm_.drained(); }
 
@@ -232,11 +228,10 @@ private:
     void mirror_ghost_columns(std::vector<storage_t>& h,
                               std::vector<storage_t>& hu,
                               std::vector<storage_t>& hv, int local_row);
-    /// Pack boundary rows and send them (nonblocking post in overlap
-    /// mode, BSP enqueue otherwise).
+    /// Pack boundary rows and post them nonblocking.
     void post_halos();
-    /// Deliver and unpack the ghost rows (BSP: exchange() first) and
-    /// mirror the y-wall ghost rows of the edge ranks.
+    /// Claim and unpack the ghost rows and mirror the y-wall ghost rows
+    /// of the edge ranks.
     void complete_halos();
     /// Precompute the face quantities of local rows [j0, j1] of one rank
     /// (full padded width, ghost columns included), folding the rows' max

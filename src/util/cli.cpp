@@ -217,10 +217,6 @@ void add_checkpoint_options(ArgParser& args) {
                     "--drift-budget ULP ceiling; an explicit rate applies "
                     "to every array (both v2, error-bounded)",
                     "off");
-    args.add_flag("checkpoint-async",
-                  "Write checkpoints on a background thread (the solver "
-                  "stalls only for the in-memory snapshot copy; bytes are "
-                  "identical to the synchronous path)");
     args.add_option("restart",
                     "Resume from this checkpoint path before stepping; "
                     "empty starts from the initial condition",

@@ -94,8 +94,9 @@ void add_simd_option(ArgParser& args);
 /// Register the standard checkpoint options: `--checkpoint <path>` (empty
 /// disables), `--checkpoint-interval <steps>` (0 = final state only),
 /// `--checkpoint-compress off|drift|<bits>` (format v1 vs error-bounded
-/// v2, DESIGN.md §14), `--checkpoint-async` (background writer thread),
-/// and `--restart <path>` to resume from a previous checkpoint.
+/// v2, DESIGN.md §14), and `--restart <path>` to resume from a previous
+/// checkpoint. Drivers write every checkpoint on a background writer
+/// thread (io/async_checkpoint.hpp).
 void add_checkpoint_options(ArgParser& args);
 
 /// Parse `--checkpoint-compress` into io::CheckpointOptions; throws

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 #include "par/comm.hpp"
@@ -11,33 +13,47 @@
 namespace tpar = tp::par;
 
 // ------------------------------------------------------------------- comm
+namespace {
+std::vector<std::byte> bytes_of(std::initializer_list<unsigned char> v) {
+    std::vector<std::byte> out;
+    for (unsigned char c : v) out.push_back(std::byte{c});
+    return out;
+}
+}  // namespace
+
+// A posted message is claimable at once (no phase barrier) and arrives
+// with its source, tag and bytes intact.
 TEST(VirtualComm, DeliversAfterExchange) {
     tpar::VirtualComm comm(3);
-    comm.send(0, 2, 7, {1.0, 2.0});
-    EXPECT_THROW((void)comm.recv(2, 0, 7), std::runtime_error);  // not yet
-    comm.exchange();
-    const auto m = comm.recv(2, 0, 7);
+    EXPECT_THROW((void)comm.complete(2, 0, 7), std::runtime_error);
+    comm.post_bytes(0, 2, 7, bytes_of({1, 2}));
+    EXPECT_FALSE(comm.drained());
+    const auto m = comm.complete(2, 0, 7);
     EXPECT_EQ(m.source, 0);
     EXPECT_EQ(m.tag, 7);
-    ASSERT_EQ(m.payload.size(), 2u);
-    EXPECT_EQ(m.payload[1], 2.0);
+    EXPECT_EQ(m.bytes, bytes_of({1, 2}));
     EXPECT_TRUE(comm.drained());
 }
 
+// Claims match by (source, tag), never by posting order.
 TEST(VirtualComm, MatchesSourceAndTag) {
-    tpar::VirtualComm comm(2);
-    comm.send(0, 1, 1, {1.0});
-    comm.send(0, 1, 2, {2.0});
-    comm.exchange();
-    EXPECT_EQ(comm.recv(1, 0, 2).payload[0], 2.0);
-    EXPECT_EQ(comm.recv(1, 0, 1).payload[0], 1.0);
+    tpar::VirtualComm comm(3);
+    comm.post_bytes(0, 1, 1, bytes_of({1}));
+    comm.post_bytes(0, 1, 2, bytes_of({2}));
+    comm.post_bytes(2, 1, 1, bytes_of({3}));
+    EXPECT_EQ(comm.complete(1, 0, 2).bytes, bytes_of({2}));
+    EXPECT_EQ(comm.complete(1, 2, 1).bytes, bytes_of({3}));
+    EXPECT_EQ(comm.complete(1, 0, 1).bytes, bytes_of({1}));
     EXPECT_TRUE(comm.drained());
 }
 
 TEST(VirtualComm, ValidatesRanks) {
     tpar::VirtualComm comm(2);
-    EXPECT_THROW(comm.send(0, 5, 0, {}), std::out_of_range);
-    EXPECT_THROW((void)comm.recv(-1, 0, 0), std::out_of_range);
+    EXPECT_THROW(comm.post_bytes(0, 5, 0, {}), std::out_of_range);
+    EXPECT_THROW(comm.post_bytes(-1, 1, 0, {}), std::out_of_range);
+    EXPECT_THROW((void)comm.complete(-1, 0, 0), std::out_of_range);
+    EXPECT_THROW((void)comm.bytes_sent(2), std::out_of_range);
+    EXPECT_TRUE(comm.drained());
     EXPECT_THROW(tpar::VirtualComm{0}, std::invalid_argument);
 }
 
@@ -213,16 +229,20 @@ TEST(VirtualComm, ByteMessagesAndPooledBuffers) {
     auto buf = comm.acquire(3);
     ASSERT_EQ(buf.size(), 3u);
     buf[0] = std::byte{0xAB};
-    comm.send_bytes(0, 1, 4, std::move(buf));
-    comm.exchange();
-    auto m = comm.recv(1, 0, 4);
+    comm.post_bytes(0, 1, 4, std::move(buf));
+    auto m = comm.complete(1, 0, 4);
     ASSERT_EQ(m.bytes.size(), 3u);
     EXPECT_EQ(m.bytes[0], std::byte{0xAB});
     EXPECT_EQ(comm.bytes_sent(), 3u);
+    EXPECT_EQ(comm.bytes_sent(0), 3u);
+    EXPECT_EQ(comm.bytes_sent(1), 0u);
     // Returning the buffer lets the next acquire reuse it: steady-state
     // halo exchange allocates nothing.
+    const std::byte* storage = m.bytes.data();
     comm.release(std::move(m.bytes));
-    EXPECT_EQ(comm.acquire(2).size(), 2u);
+    const auto reused = comm.acquire(2);
+    EXPECT_EQ(reused.size(), 2u);
+    EXPECT_EQ(reused.data(), storage);
 }
 
 TEST(DistShallow, HaloTrafficScalesWithStorageWidth) {
