@@ -2,7 +2,8 @@
 // dam break at 1, 2, ... N threads for each precision mode, reporting
 // finite_diff time, speedup, and parallel efficiency — and checking that
 // the physics is bit-identical at every team size (the determinism
-// contract of the blocked/exact reductions in sum/parallel.hpp).
+// contract of compute_dt's OpenMP min reduction, exact at any team size,
+// and of the exact mass sum in sum/parallel.hpp).
 //
 // On a single-core host every team size shares one core, so expect
 // efficiency ~1/threads there; the bitwise-identity column is the part

@@ -74,7 +74,7 @@ public:
             if (obs::metrics().is_open())
                 obs::metrics().write_line(checkpoint_record(
                     path, slot.snap.step, info, snapshot_s,
-                    write_timer.elapsed_seconds(), stall_s, true));
+                    write_timer.elapsed_seconds(), stall_s));
         });
         slot.busy = true;
     }

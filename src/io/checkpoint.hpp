@@ -227,7 +227,7 @@ struct CheckpointWriteInfo {
 [[nodiscard]] inline std::string checkpoint_record(
     const std::string& path, std::int64_t step,
     const CheckpointWriteInfo& info, double snapshot_s, double write_s,
-    double stall_s, bool async) {
+    double stall_s) {
     std::string bits = "[";
     for (std::size_t i = 0; i < info.bits.size(); ++i) {
         if (i != 0) bits += ',';
@@ -251,7 +251,6 @@ struct CheckpointWriteInfo {
         .field("snapshot_s", snapshot_s)
         .field("write_s", write_s)
         .field("stall_s", stall_s)
-        .field("async", async)
         .str();
 }
 

@@ -149,14 +149,13 @@ const std::vector<RecordType>& record_types() {
             "drift_budget_ulp", "tail_budget_frac"}}}},
         // Bench table echo (util/table.hpp): free-form title and cells.
         {"table", {}},
-        // One checkpoint write, sync or async (io/checkpoint.hpp).
+        // One checkpoint write (io/checkpoint.hpp).
         {"checkpoint",
          {{Kind::String, kRequired, {"path"}},
           {Kind::Number, kRequired,
            {"step", "version", "raw_bytes", "written_bytes", "ratio",
             "snapshot_s", "write_s", "stall_s"}},
-          {Kind::NumberArray, kRequired, {"bits"}},
-          {Kind::Bool, kRequired, {"async"}}},
+          {Kind::NumberArray, kRequired, {"bits"}}},
          checkpoint_rule},
         // Per-rank phase split of one distributed step
         // (examples/dam_break_dist).

@@ -15,7 +15,6 @@
 #include "sem/tensor_kernel.hpp"
 #include "simd/pack.hpp"
 #include "sum/expansion.hpp"
-#include "sum/parallel.hpp"
 #include "util/arena.hpp"
 #include "util/threads.hpp"
 
@@ -856,31 +855,15 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
 // reports exactly the rounding its compute scalar introduced.
 
 template <fp::PrecisionPolicy Policy>
-void SpectralEulerSolver<Policy>::shadow_profile_cfl() const {
+void SpectralEulerSolver<Policy>::shadow_profile_cfl(double gx, double gy,
+                                                     double gz) const {
     const auto stride =
         static_cast<std::size_t>(obs::shadow_sample_stride());
     const std::size_t n = num_nodes();
-    const double gm1 = cfg_.atm.gamma - 1.0;
-    const double node_gap = 0.5 * (lgl_.nodes[1] - lgl_.nodes[0]);
-    const double gx = node_gap * dxe_;
-    const double gy = node_gap * dye_;
-    const double gz = node_gap * dze_;
-    const double gamma = cfg_.atm.gamma;
     obs::DivergenceStats s;
     for (std::size_t i = 0; i < n; i += stride) {
-        const double rho = static_cast<double>(rho_bar_[i]) +
-                           static_cast<double>(q_[RHO][i]);
-        const double inv = 1.0 / rho;
-        const double u = std::fabs(static_cast<double>(q_[MX][i])) * inv;
-        const double v = std::fabs(static_cast<double>(q_[MY][i])) * inv;
-        const double w = std::fabs(static_cast<double>(q_[MZ][i])) * inv;
-        const double ef = static_cast<double>(e_bar_[i]) +
-                          static_cast<double>(q_[EN][i]);
-        const double ke = 0.5 * rho * (u * u + v * v + w * w);
-        const double p = gm1 * (ef - ke);
-        const double c = std::sqrt(gamma * p * inv);
-        s.observe(cfl_scratch_[i],
-                  (u + c) / gx + (v + c) / gy + (w + c) / gz);
+        const double rate = cfl_rate(i, gx, gy, gz);
+        s.observe(rate, rate);
     }
     obs::shadow_merge("sem.cfl", "rates", s);
 }
@@ -1257,11 +1240,27 @@ void SpectralEulerSolver<Policy>::apply_filter() {
 }
 
 template <fp::PrecisionPolicy Policy>
+double SpectralEulerSolver<Policy>::cfl_rate(std::size_t i, double gx,
+                                             double gy, double gz) const {
+    const double rho = static_cast<double>(rho_bar_[i]) +
+                       static_cast<double>(q_[RHO][i]);
+    const double inv = 1.0 / rho;
+    const double u = std::fabs(static_cast<double>(q_[MX][i])) * inv;
+    const double v = std::fabs(static_cast<double>(q_[MY][i])) * inv;
+    const double w = std::fabs(static_cast<double>(q_[MZ][i])) * inv;
+    const double ef = static_cast<double>(e_bar_[i]) +
+                      static_cast<double>(q_[EN][i]);
+    const double ke = 0.5 * rho * (u * u + v * v + w * w);
+    const double p = (cfg_.atm.gamma - 1.0) * (ef - ke);
+    const double c = std::sqrt(cfg_.atm.gamma * p * inv);
+    return (u + c) / gx + (v + c) / gy + (w + c) / gz;
+}
+
+template <fp::PrecisionPolicy Policy>
 double SpectralEulerSolver<Policy>::compute_dt() {
     TP_OBS_SPAN("sem.cfl");
     util::WallTimer timer;
     const std::size_t n = num_nodes();
-    const double gm1 = cfg_.atm.gamma - 1.0;
     // Smallest node spacing per direction; the 3-D DG spectral radius sums
     // the per-direction rates (|u_d| + c) / gap_d — using only one
     // direction's gap over-predicts the stable dt by ~3x on cubes.
@@ -1269,28 +1268,15 @@ double SpectralEulerSolver<Policy>::compute_dt() {
     const double gx = node_gap * dxe_;
     const double gy = node_gap * dye_;
     const double gz = node_gap * dze_;
-    cfl_scratch_.resize(n);
-    double* rates = cfl_scratch_.data();
-    const double gamma = cfg_.atm.gamma;
-#pragma omp parallel for schedule(static)
-    for (std::size_t i = 0; i < n; ++i) {
-        const double rho = static_cast<double>(rho_bar_[i]) +
-                           static_cast<double>(q_[RHO][i]);
-        const double inv = 1.0 / rho;
-        const double u = std::fabs(static_cast<double>(q_[MX][i])) * inv;
-        const double v = std::fabs(static_cast<double>(q_[MY][i])) * inv;
-        const double w = std::fabs(static_cast<double>(q_[MZ][i])) * inv;
-        const double ef = static_cast<double>(e_bar_[i]) +
-                          static_cast<double>(q_[EN][i]);
-        const double ke = 0.5 * rho * (u * u + v * v + w * w);
-        const double p = gm1 * (ef - ke);
-        const double c = std::sqrt(gamma * p * inv);
-        rates[i] = (u + c) / gx + (v + c) / gy + (w + c) / gz;
-    }
-    if (obs::shadow_kernel_active("sem.cfl")) shadow_profile_cfl();
-    // Fixed-shape reduction: the stable dt is bit-identical at any thread
-    // count (max is exact, the blocked shape depends only on n).
-    const double rate_max = sum::parallel_max(cfl_scratch_, 0.0);
+    // max is exact, so the reduction gives the same bits at any team size;
+    // the running value is the first argument, so a NaN rate is dropped
+    // at any team size too (an all-NaN state leaves rate_max at 0, which
+    // the guard below rejects before the viscous cap can hide it).
+    double rate_max = 0.0;
+#pragma omp parallel for schedule(static) reduction(max : rate_max)
+    for (std::size_t i = 0; i < n; ++i)
+        rate_max = std::max(rate_max, cfl_rate(i, gx, gy, gz));
+    if (obs::shadow_kernel_active("sem.cfl")) shadow_profile_cfl(gx, gy, gz);
     account("cfl", timer.elapsed_seconds(), n * kCflFlopsPerNode,
             n * 8 * sizeof(storage_t), 0);
     double dt = cfg_.courant / rate_max;
@@ -1304,11 +1290,12 @@ double SpectralEulerSolver<Policy>::compute_dt() {
             nu * (1.0 / (gx * gx) + 1.0 / (gy * gy) + 1.0 / (gz * gz));
         dt = std::min(dt, 0.6 / diff_rate);
     }
-    if (!std::isfinite(dt) || dt <= 0.0) {
-        std::string detail = "non-finite or non-positive dt " +
-                             std::to_string(dt) + " (rate_max " +
-                             std::to_string(rate_max) + " over " +
-                             std::to_string(n) + " nodes)";
+    if (!(rate_max > 0.0) || !std::isfinite(dt) || dt <= 0.0) {
+        std::string detail =
+            "non-finite or non-positive dt or CFL rate: dt " +
+            std::to_string(dt) + " (rate_max " +
+            std::to_string(rate_max) + " over " + std::to_string(n) +
+            " nodes)";
         static constexpr const char* kVarNames[kVars] = {"rho", "mx", "my",
                                                          "mz", "en"};
         for (int v = 0; v < kVars; ++v) {

@@ -244,10 +244,14 @@ private:
     void rk_stage(double a, double b, double dt);
     void apply_filter();
     [[nodiscard]] double compute_dt();
+    /// One node's CFL rate sum_d (|u_d| + c) / gap_d, in double for every
+    /// policy: compute_dt folds it, shadow_profile_cfl recomputes it.
+    [[nodiscard]] double cfl_rate(std::size_t i, double gx, double gy,
+                                  double gz) const;
     // --shadow-profile hooks (obs/numerics.hpp): double-precision
     // re-execution of a strided sample, cold paths behind the relaxed-load
     // gate at each call site.
-    void shadow_profile_cfl() const;
+    void shadow_profile_cfl(double gx, double gy, double gz) const;
     void shadow_profile_rhs();
     /// Shared body of the rhs shadow hook and the governor monitor: the
     /// interior-node double reference, observed per variable either in
@@ -293,7 +297,6 @@ private:
     // BR1 gradients of the primitive variables (u, v, w, T), one array per
     // (variable, direction); allocated only when viscosity > 0.
     std::vector<compute_t> grad_[4][3];
-    std::vector<double> cfl_scratch_;    // per-node CFL rates (compute_dt)
     // Shadow-profile scratch (sampled indices, captured pre-state, double
     // reference work arrays) — members so profiling a steady-state run
     // allocates nothing after warmup.

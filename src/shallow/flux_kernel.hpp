@@ -50,15 +50,6 @@ struct FluxArgs {
     C gravity;
 };
 
-/// A maximal run of consecutive same-level cells (Morton order keeps
-/// same-level cells contiguous in practice, so runs are long). The CFL
-/// scan iterates these to keep the per-level spacing a run constant.
-struct LevelRun {
-    std::int32_t begin;
-    std::int32_t end;  // one past the last cell
-    std::int32_t level;
-};
-
 /// Flux update for the `m` cells cells[0..m) (1 <= m <= W): lane l
 /// computes cell cells[l]. Every cell evaluates its eight sub-face slots
 /// and writes only its own increments — CLAMR's scatter-free,

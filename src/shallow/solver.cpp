@@ -33,6 +33,18 @@ constexpr std::uint64_t kCflFlopsPerCell = 12;
 // so the roofline projects them as pure memory time instead of the old
 // hard-coded per-cell op proxies.
 
+/// One cell's stable-dt candidate dx / (max(|u|, |v|) + sqrt(g h)) in
+/// precision C, with h floored at 1e-8 — the expression compute_dt folds
+/// and shadow_profile_cfl recomputes (in C and in double).
+template <typename C, typename S>
+inline C cfl_candidate(C dx, S h, S hu, S hv, C g) {
+    const C hh = std::max(static_cast<C>(h), static_cast<C>(1e-8));
+    const C inv = C(1) / hh;
+    const C u = std::fabs(static_cast<C>(hu)) * inv;
+    const C v = std::fabs(static_cast<C>(hv)) * inv;
+    return dx / (std::max(u, v) + std::sqrt(g * hh));
+}
+
 // Double-precision shadow reference for one cell of the Rusanov sweep:
 // the same operation sequence as flux_kernel.hpp's flux_block_gather (slot
 // order, the lone fma, the hfloor clamps), but every intermediate in
@@ -198,8 +210,8 @@ void ShallowWaterSolver<Policy>::resolve_cell_side(std::int32_t c, int base,
     }
 }
 
-// Shared tail of every cache builder: per-level inverse areas, increment
-// buffer sizing, and the same-level runs the CFL scan iterates.
+// Shared tail of every cache builder: per-level inverse areas and
+// increment buffer sizing.
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     const std::size_t n = mesh_.num_cells();
@@ -209,7 +221,6 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
     dh_.resize(n);
     dhu_.resize(n);
     dhv_.resize(n);
-    cfl_buf_.resize(n);
 
     // cell_area depends only on the level, so 1/area is a tiny per-level
     // table; the per-cell fill is a gather from L1 instead of a divide.
@@ -227,20 +238,6 @@ void ShallowWaterSolver<Policy>::rebuild_iteration_space() {
 #pragma omp parallel for schedule(static)
     for (std::int64_t c = 0; c < ni; ++c)
         inv[c] = inv_by_level[static_cast<std::size_t>(cell[c].level)];
-
-    // Maximal runs of consecutive same-level cells (the Morton order keeps
-    // same-level cells contiguous, so runs are long): compute_dt
-    // broadcasts the per-level spacing per run, keeping its inner loop
-    // gather-free. clear() + push_back reuses capacity across rezones.
-    level_runs_.clear();
-    for (std::size_t c = 0; c < n;) {
-        std::size_t e = c + 1;
-        while (e < n && cells[e].level == cells[c].level) ++e;
-        level_runs_.push_back({static_cast<std::int32_t>(c),
-                               static_cast<std::int32_t>(e),
-                               cells[c].level});
-        c = e;
-    }
     // The block index and the alt-precision tables mirror the tables
     // rebuilt above. A rezone rebuilds the blocks right away; after
     // construction or a restart they wait for the first step, so a solver
@@ -484,20 +481,7 @@ bool ShallowWaterSolver<Policy>::topology_caches_consistent() const {
         if (inv_area_[c] !=
             static_cast<compute_t>(1.0 / mesh_.cell_area(cells[c])))
             return false;
-    // Level runs must exactly tile [0, n) into maximal same-level runs.
-    std::size_t at = 0;
-    for (const detail::LevelRun& run : level_runs_) {
-        if (static_cast<std::size_t>(run.begin) != at || run.end <= run.begin)
-            return false;
-        for (std::int32_t c = run.begin; c < run.end; ++c)
-            if (cells[static_cast<std::size_t>(c)].level != run.level)
-                return false;
-        if (static_cast<std::size_t>(run.end) < n &&
-            cells[static_cast<std::size_t>(run.end)].level == run.level)
-            return false;  // not maximal
-        at = static_cast<std::size_t>(run.end);
-    }
-    return at == n;
+    return true;
 }
 
 template <fp::PrecisionPolicy Policy>
@@ -761,10 +745,9 @@ double ShallowWaterSolver<Policy>::compute_dt() {
     util::WallTimer t;
     const std::size_t n = mesh_.num_cells();
     const compute_t g = static_cast<compute_t>(config_.gravity);
-    const compute_t hfloor = static_cast<compute_t>(1e-8);
     // Per-level minimum spacing lookup (tiny, stays in L1). The
     // constructor guarantees max_level <= kMaxSupportedLevel, so the
-    // run-level index below can never leave the array.
+    // per-cell level index below can never leave the array.
     std::array<compute_t, kMaxSupportedLevel + 1> min_dx{};
     for (std::int32_t l = 0; l <= config_.geom.max_level; ++l)
         min_dx[static_cast<std::size_t>(l)] = static_cast<compute_t>(
@@ -773,55 +756,40 @@ double ShallowWaterSolver<Policy>::compute_dt() {
     const storage_t* h = h_.data();
     const storage_t* hu = hu_.data();
     const storage_t* hv = hv_.data();
-    compute_t* cfl = cfl_buf_.data();
-    const detail::LevelRun* runs = level_runs_.data();
-    const auto nruns = static_cast<std::int64_t>(level_runs_.size());
-    // Level-bucketed: the spacing is a run constant, so the inner loop has
-    // no per-cell level lookup and every candidate is computed in the
-    // policy's compute precision (the dt itself is part of what "minimum
-    // precision" changes about the run).
-#pragma omp parallel for schedule(static)
-    for (std::int64_t r = 0; r < nruns; ++r) {
-        const detail::LevelRun run = runs[r];
-        const compute_t dx = min_dx[static_cast<std::size_t>(run.level)];
-#pragma omp simd
-        for (std::int32_t c = run.begin; c < run.end; ++c) {
-            const compute_t hh =
-                std::max(static_cast<compute_t>(h[c]), hfloor);
-            const compute_t inv = compute_t(1) / hh;
-            const compute_t u =
-                std::fabs(static_cast<compute_t>(hu[c])) * inv;
-            const compute_t v =
-                std::fabs(static_cast<compute_t>(hv[c])) * inv;
-            const compute_t wave = std::max(u, v) + std::sqrt(g * hh);
-            cfl[c] = dx / wave;
-        }
-    }
+    const mesh::Cell* cell = mesh_.cells().data();
+    const auto ni = static_cast<std::int64_t>(n);
+    // One pass: every candidate is computed in the policy's compute
+    // precision (the dt itself is part of what "minimum precision" changes
+    // about the run) and folded straight into the minimum. min is exact,
+    // so the reduction gives the same bits at any team size (paper §III.C
+    // needs exact accumulators only for sums); the running value is the
+    // first argument, so a NaN candidate is dropped at any team size too.
+    compute_t dt_min = std::numeric_limits<compute_t>::infinity();
+#pragma omp parallel for simd schedule(static) reduction(min : dt_min)
+    for (std::int64_t c = 0; c < ni; ++c)
+        dt_min = std::min(
+            dt_min, cfl_candidate(min_dx[static_cast<std::size_t>(
+                                      cell[c].level)],
+                                  h[c], hu[c], hv[c], g));
     if (obs::shadow_kernel_active("clamr.cfl")) shadow_profile_cfl();
-    // Reproducible global minimum: the blocked parallel reduction has a
-    // fixed shape that depends only on n, so the result is bit-identical
-    // at any thread count (paper §III.C, order-independent reductions).
-    const compute_t dt_min = sum::parallel_min(
-        std::span<const compute_t>(cfl_buf_),
-        std::numeric_limits<compute_t>::infinity());
 
     constexpr bool sp = std::is_same_v<compute_t, float>;
     ledger_.record("cfl", t.elapsed_seconds(),
                    sp ? n * kCflFlopsPerCell : 0,
                    sp ? 0 : n * kCflFlopsPerCell,
-                   n * 3 * sizeof(storage_t),
+                   n * (3 * sizeof(storage_t) + sizeof(mesh::Cell::level)),
                    (sizeof(storage_t) != sizeof(compute_t) &&
                     std::is_same_v<compute_t, double>)
                        ? 3 * n
                        : 0,
-                   n * sizeof(compute_t),
-                   static_cast<std::uint32_t>(util::max_threads()));
+                   0, static_cast<std::uint32_t>(util::max_threads()));
     timers_.add("cfl", t.elapsed_seconds());
     const double dt = config_.courant * static_cast<double>(dt_min);
-    // Finite-dt guard: a NaN/Inf anywhere in the state poisons the CFL
-    // reduction, and without this check the run would keep stepping on
-    // garbage (time_ += NaN) with no error until someone inspects the
-    // output. An Inf wave speed shows up here as dt == 0. The check is
+    // Finite-dt guard: without this check a poisoned state would keep
+    // stepping on garbage (time_ += NaN) with no error until someone
+    // inspects the output. An Inf wave speed shows up here as dt == 0 and
+    // an all-NaN state as dt == +inf; a NaN among finite cells is dropped
+    // by the min, which is why step()'s --probe scan exists. The check is
     // one comparison per step; the diagnostic scan runs only on failure.
     if (!std::isfinite(dt) || dt <= 0.0)
         describe_dt_fault(*this, h_, hu_, hv_, dt);
@@ -1074,23 +1042,16 @@ void ShallowWaterSolver<Policy>::apply_update(double dt) {
 template <fp::PrecisionPolicy Policy>
 void ShallowWaterSolver<Policy>::shadow_profile_cfl() const {
     const auto stride =
-        static_cast<std::int32_t>(obs::shadow_sample_stride());
+        static_cast<std::size_t>(obs::shadow_sample_stride());
     const double g = config_.gravity;
+    const auto& cells = mesh_.cells();
     obs::DivergenceStats s;
-    for (const detail::LevelRun& run : level_runs_) {
-        const double dx =
-            std::min(mesh_.cell_dx(run.level), mesh_.cell_dy(run.level));
-        std::int32_t c = run.begin + (stride - run.begin % stride) % stride;
-        for (; c < run.end; c += stride) {
-            const auto i = static_cast<std::size_t>(c);
-            const double hh =
-                std::max(static_cast<double>(h_[i]), 1e-8);
-            const double inv = 1.0 / hh;
-            const double u = std::fabs(static_cast<double>(hu_[i])) * inv;
-            const double v = std::fabs(static_cast<double>(hv_[i])) * inv;
-            const double wave = std::max(u, v) + std::sqrt(g * hh);
-            s.observe(cfl_buf_[i], dx / wave);
-        }
+    for (std::size_t c = 0; c < cells.size(); c += stride) {
+        const std::int32_t l = cells[c].level;
+        const double dx = std::min(mesh_.cell_dx(l), mesh_.cell_dy(l));
+        s.observe(cfl_candidate(static_cast<compute_t>(dx), h_[c], hu_[c],
+                                hv_[c], static_cast<compute_t>(g)),
+                  cfl_candidate(dx, h_[c], hu_[c], hv_[c], g));
     }
     obs::shadow_merge("clamr.cfl", "cfl", s);
 }

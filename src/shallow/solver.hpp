@@ -183,12 +183,6 @@ public:
         return timers_;
     }
 
-    /// Same-level Morton runs the CFL scan iterates (rebuilt on every
-    /// topology change; exposed for the SIMD binning tests).
-    [[nodiscard]] const std::vector<detail::LevelRun>& level_runs() const {
-        return level_runs_;
-    }
-
     /// Block index driving the tile sweep. Current as of the last step:
     /// built by every rezone and by the first step after construction or
     /// a restart. Exposed for the block-lifecycle tests.
@@ -268,8 +262,8 @@ private:
     /// through the copy-span prefix-offset map, resolve only cells whose
     /// neighborhood changed. Returns the number of cells resolved.
     std::size_t update_topology_caches(const mesh::RemapPlan& plan);
-    /// Rebuild level_runs_/inv_area_ and size the increment buffers for
-    /// the current mesh (shared tail of every cache builder).
+    /// Rebuild inv_area_ and size the increment buffers for the current
+    /// mesh (shared tail of every cache builder).
     void rebuild_iteration_space();
     [[nodiscard]] double compute_dt();
     void finite_diff(double dt);
@@ -340,8 +334,6 @@ private:
     std::vector<compute_t> nbr_area_back_;
     std::vector<std::int32_t> old_to_new_;
     std::vector<std::uint8_t> slot_dirty_;  // per-cell "needs resolve" flag
-    // Same-level runs for the CFL scan (rebuilt with the neighbor tables).
-    std::vector<detail::LevelRun> level_runs_;
     // Flux-sweep iteration space: the mesh block index, the dense tiles
     // the sweep computes (compute_t and governed-alt area variants), and
     // the sorted list of cells the tiles leave to the flux_block_gather
@@ -365,7 +357,6 @@ private:
     std::vector<alt_compute_t> dh_alt_, dhu_alt_, dhv_alt_;
     std::vector<alt_compute_t> nbr_area_alt_;
     bool alt_tables_stale_ = true;
-    std::vector<compute_t> cfl_buf_;       // per-cell dt candidates
     std::vector<std::int8_t> flags_scratch_;  // refinement flags, reused
     // Shadow-profile capture scratch (cell indices + pre-update state),
     // reused across steps so profiling allocates nothing after warmup.

@@ -8,61 +8,8 @@
 #endif
 
 #include "sum/expansion.hpp"
-#include "sum/reproducible.hpp"
-#include "util/arena.hpp"
 
 namespace tp::sum {
-
-namespace {
-
-template <typename T, typename Op>
-T blocked_reduce(std::span<const T> x, T identity, Op op) {
-    const std::size_t n = x.size();
-    if (n == 0) return identity;
-    const std::size_t nblocks = (n + kReduceBlock - 1) / kReduceBlock;
-    // Scratch for the block partials comes from the caller's arena so a
-    // solver calling this every step makes no heap allocation at steady
-    // state (the arena is per-thread; the parallel region below only
-    // *fills* the buffer, it never allocates).
-    util::ScratchArena& arena = util::tls_arena();
-    util::ArenaScope scope(arena);
-    T* partial = arena.alloc<T>(nblocks);
-    // Each block partial is a serial in-order reduction of a fixed index
-    // range, so its value is independent of which thread evaluates it.
-    const auto nb = static_cast<std::int64_t>(nblocks);
-#pragma omp parallel for schedule(static)
-    for (std::int64_t b = 0; b < nb; ++b) {
-        const std::size_t lo = static_cast<std::size_t>(b) * kReduceBlock;
-        const std::size_t hi = lo + kReduceBlock < n ? lo + kReduceBlock : n;
-        T acc = x[lo];
-        for (std::size_t i = lo + 1; i < hi; ++i) acc = op(acc, x[i]);
-        partial[static_cast<std::size_t>(b)] = acc;
-    }
-    // Fixed-shape combine: depends only on the block count.
-    return tree_reduce<T>(std::span<const T>(partial, nblocks), identity, op);
-}
-
-}  // namespace
-
-double parallel_min(std::span<const double> x, double identity) {
-    return blocked_reduce<double>(
-        x, identity, [](double a, double b) { return a < b ? a : b; });
-}
-
-float parallel_min(std::span<const float> x, float identity) {
-    return blocked_reduce<float>(
-        x, identity, [](float a, float b) { return a < b ? a : b; });
-}
-
-double parallel_max(std::span<const double> x, double identity) {
-    return blocked_reduce<double>(
-        x, identity, [](double a, double b) { return a > b ? a : b; });
-}
-
-float parallel_max(std::span<const float> x, float identity) {
-    return blocked_reduce<float>(
-        x, identity, [](float a, float b) { return a > b ? a : b; });
-}
 
 double parallel_sum_exact(std::span<const double> x) {
     const std::size_t n = x.size();

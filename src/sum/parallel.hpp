@@ -1,43 +1,24 @@
 #pragma once
-// Thread-parallel reductions with thread-count-invariant results.
+// Thread-parallel sum with a thread-count-invariant result.
 //
 // The paper's §III.C lesson is that global reductions are where parallel
 // decomposition leaks into the physics; threading the hot loops must not
-// reintroduce that leak. Two constructions keep the reductions here
-// bit-stable at any team size:
+// reintroduce that leak. Min and max cannot leak it: for non-NaN values
+// they are exact, so the solvers fold them with an OpenMP reduction
+// clause and get the same bits at any team size. A sum is not
+// associative, so it needs an exact accumulator:
 //
-//   * parallel_min / parallel_max: the input is cut into fixed-length
-//     blocks (kReduceBlock, a function of nothing but the element count),
-//     each block is reduced serially in index order, and the block
-//     partials are combined with the fixed-shape tree_reduce. Threads only
-//     decide *who* computes a block partial, never *what* it contains.
-//
-//   * parallel_sum_exact: each thread folds a contiguous chunk into its
-//     own sum::ExpansionAccumulator — an exact representation of the chunk
-//     total — and the per-thread partials are combined in thread-index
-//     order. Because every partial is exact, the combined expansion
-//     represents the exact multiset sum no matter how the chunks were cut,
-//     and the final correctly-rounded double is identical for 1, 2, or N
-//     threads.
+//   parallel_sum_exact: each thread folds a contiguous chunk into its own
+//   sum::ExpansionAccumulator — an exact representation of the chunk
+//   total — and the per-thread partials are combined in thread-index
+//   order. Because every partial is exact, the combined expansion
+//   represents the exact multiset sum no matter how the chunks were cut,
+//   and the final correctly-rounded double is identical for 1, 2, or N
+//   threads.
 
-#include <cstddef>
 #include <span>
 
 namespace tp::sum {
-
-/// Block length for the blocked min/max partials. Fixed so the reduction
-/// shape depends only on the input size, never on the thread count.
-inline constexpr std::size_t kReduceBlock = 4096;
-
-/// Deterministic parallel minimum (identity returned for empty input).
-[[nodiscard]] double parallel_min(std::span<const double> x, double identity);
-/// float flavor, for solvers whose compute_t is single precision (the
-/// CFL buffer of the minimum-precision policy). Same fixed block shape.
-[[nodiscard]] float parallel_min(std::span<const float> x, float identity);
-
-/// Deterministic parallel maximum.
-[[nodiscard]] double parallel_max(std::span<const double> x, double identity);
-[[nodiscard]] float parallel_max(std::span<const float> x, float identity);
 
 /// Exact (hence order- and thread-count-independent) parallel sum,
 /// correctly rounded to double.

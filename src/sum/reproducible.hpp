@@ -32,36 +32,6 @@ template <std::floating_point T>
 [[nodiscard]] ReproducibleResult<T> sum_reproducible(std::span<const T> x,
                                                      int folds = 3);
 
-/// Deterministic fixed-shape binary-tree reduction. The tree shape depends
-/// only on the element count, so results are identical across chunked or
-/// re-blocked traversals of the same data (the property lost by naive
-/// MPI_Reduce orderings that §III.C's cited work repairs).
-template <typename T, typename Op>
-[[nodiscard]] T tree_reduce(std::span<const T> x, T identity, Op op) {
-    if (x.empty()) return identity;
-    if (x.size() == 1) return x[0];
-    // Split at the largest power of two below size, giving a shape that is
-    // a function of size alone.
-    std::size_t half = 1;
-    while (half * 2 < x.size()) half *= 2;
-    return op(tree_reduce(x.first(half), identity, op),
-              tree_reduce(x.subspan(half), identity, op));
-}
-
-/// Reproducible global minimum (min is exact, so any deterministic shape
-/// works; the tree makes it chunk-invariant by construction).
-template <typename T>
-[[nodiscard]] T global_min(std::span<const T> x, T identity) {
-    return tree_reduce(x, identity,
-                       [](T a, T b) { return a < b ? a : b; });
-}
-
-template <typename T>
-[[nodiscard]] T global_max(std::span<const T> x, T identity) {
-    return tree_reduce(x, identity,
-                       [](T a, T b) { return a > b ? a : b; });
-}
-
 extern template ReproducibleResult<float> sum_reproducible<float>(
     std::span<const float>, int);
 extern template ReproducibleResult<double> sum_reproducible<double>(

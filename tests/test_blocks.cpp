@@ -2,8 +2,9 @@
 // binary: the zero-steady-state-allocation guarantee of the blocked flux
 // sweep is checked with a global operator-new counter (counters can't
 // share a process with test_dist's), plus the frozen checkpoint digests
-// the flux sweep must reproduce, the BlockIndex lifecycle across
-// rezones, and the fill-mask/fallback partition invariant.
+// the flux sweep and the SEM stable-dt reduction must reproduce, the
+// BlockIndex lifecycle across rezones, and the fill-mask/fallback
+// partition invariant.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 
 #include "fp/half_policy.hpp"
 #include "mesh/block_tree.hpp"
+#include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 #include "util/threads.hpp"
 
@@ -74,7 +76,7 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
 
 // ------------------------------------------- frozen cell-path digests
 
-// tools/baselines/cell_path_digests.txt freezes the checkpoints of two
+// tools/baselines/cell_path_digests.txt freezes the checkpoints of three
 // retired paths, each recorded while it was still the bit-identical
 // oracle of the path that replaced it. The per-cell flux sweep froze
 // every policy, SIMD shape and grid the blocked-sweep gates compared
@@ -82,9 +84,9 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
 // small grids). The face-scan rezone (flags and topology caches rebuilt
 // from the mesh face lists) froze the rezone-heavy shape of
 // SimdEquivalence.ClamrRezoneHeavyBitIdentical: 24^2, 4 levels, rezone
-// every 2, 25 steps. The solver must still reproduce every one,
-// rezoning throughout. A missing or different entry is reported as the
-// line the run produced.
+// every 2, 25 steps. The SEM rows are described at SemCflDigests below.
+// The solvers must still reproduce every one, rezoning throughout. A
+// missing or different entry is reported as the line the run produced.
 
 std::uint64_t fnv1a64(const std::string& bytes) {
     std::uint64_t h = 0xcbf29ce484222325ull;
@@ -93,6 +95,14 @@ std::uint64_t fnv1a64(const std::string& bytes) {
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+/// "<checkpoint bytes> <fnv1a64 hex>", the value column of the file.
+std::string digest_of(const std::string& ckpt) {
+    std::ostringstream got;
+    got << ckpt.size() << ' ' << std::hex << std::setw(16)
+        << std::setfill('0') << fnv1a64(ckpt);
+    return got.str();
 }
 
 /// "<policy> <simd> <grid> <levels> <steps> <rezone_interval>" ->
@@ -137,14 +147,10 @@ void reproduces_frozen_digests() {
             const auto it = frozen.find(key.str());
             const std::string want =
                 it == frozen.end() ? "(missing)" : it->second;
-            const auto ckpt = checkpoint_after<Policy>(
+            const std::string got = digest_of(checkpoint_after<Policy>(
                 amr_config(run.grid, run.levels, mode, run.rezone_interval),
-                run.steps);
-            std::ostringstream got;
-            got << ckpt.size() << ' ' << std::hex << std::setw(16)
-                << std::setfill('0') << fnv1a64(ckpt);
-            EXPECT_EQ(got.str(), want)
-                << "produced: " << key.str() << ' ' << got.str();
+                run.steps));
+            EXPECT_EQ(got, want) << "produced: " << key.str() << ' ' << got;
         }
     }
 }
@@ -160,6 +166,55 @@ TEST(CellPathDigests, FullPrecision) {
 }
 TEST(CellPathDigests, HalfStoragePrecision) {
     reproduces_frozen_digests<fp::HalfStoragePrecision>();
+}
+
+// The last section of cell_path_digests.txt freezes SEM thermal-bubble
+// checkpoints (3^3 elements, order 4, 5 steps) recorded while the stable
+// dt still came from a per-node rate buffer and a blocked max reducer:
+// every policy x simd shape, plus the promote_each_op kernel and the
+// viscous path (whose dt also takes the diffusive limit). Keys read
+// "sem-<policy> <simd> <elements> <order> <steps> <variant>".
+
+template <typename Policy>
+std::string sem_digest(simd::Mode mode, const std::string& variant) {
+    sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 3;
+    cfg.order = 4;
+    cfg.simd = mode;
+    cfg.promote_each_op = variant == "promote";
+    cfg.viscosity = variant == "viscous" ? 1.0 : 0.0;
+    sem::SpectralEulerSolver<Policy> s(cfg);
+    s.initialize_thermal_bubble({});
+    s.run(5);
+    std::ostringstream os(std::ios::binary);
+    s.write_checkpoint(os);
+    return digest_of(std::move(os).str());
+}
+
+TEST(SemCflDigests, EveryPolicySimdAndVariant) {
+    const SingleThread one;
+    const auto frozen = read_frozen_digests();
+    const auto check = [&]<typename Policy>(simd::Mode mode,
+                                            const std::string& variant) {
+        const std::string key =
+            "sem-" + std::string(Policy::name) + ' ' +
+            (mode == simd::Mode::Native ? "native" : "scalar") + " 3 4 5 " +
+            variant;
+        const auto it = frozen.find(key);
+        const std::string want =
+            it == frozen.end() ? "(missing)" : it->second;
+        const std::string got = sem_digest<Policy>(mode, variant);
+        EXPECT_EQ(got, want) << "produced: " << key << ' ' << got;
+    };
+    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+        check.template operator()<fp::MinimumPrecision>(mode, "inviscid");
+        check.template operator()<fp::MixedPrecision>(mode, "inviscid");
+        check.template operator()<fp::FullPrecision>(mode, "inviscid");
+    }
+    check.template operator()<fp::MinimumPrecision>(simd::Mode::Native,
+                                                    "promote");
+    check.template operator()<fp::FullPrecision>(simd::Mode::Native,
+                                                 "viscous");
 }
 
 // ------------------------------------------------- block index lifecycle

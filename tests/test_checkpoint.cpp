@@ -620,7 +620,7 @@ TEST(CheckpointRecord, BothVersionsMatchTheRecordSchema) {
         std::stringstream os;
         const io::CheckpointWriteInfo info = s.write_checkpoint(os, opt);
         const std::string line =
-            io::checkpoint_record("c.bin", 4, info, 0.0, 0.01, 0.0, true);
+            io::checkpoint_record("c.bin", 4, info, 0.0, 0.01, 0.0);
         const auto rec = obs::json::parse(line);
         ASSERT_TRUE(rec.has_value()) << line;
         EXPECT_EQ(obs::schema::check_record(*rec),

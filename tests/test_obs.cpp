@@ -27,6 +27,7 @@
 #include "obs/probe.hpp"
 #include "obs/schema.hpp"
 #include "obs/trace.hpp"
+#include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -479,6 +480,55 @@ TEST(Probe, RaiseWritesDiagnosticRecordBeforeThrowing) {
 
 // --------------------------------------------- solver-level NaN injection
 
+TEST(Probe, DtGuardCatchesInfiniteDepthWithProbeOff) {
+    // An Inf depth gives an Inf wave speed, a zero dt candidate and so a
+    // zero minimum: the always-on finite-dt guard must fault in "cfl"
+    // without any help from the --probe scan.
+    tp::shallow::Config cfg;
+    cfg.geom = {0.0, 0.0, 100.0, 100.0, 16, 16, 1};
+    tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision> solver(cfg);
+    tp::shallow::DamBreak ic;
+    ic.h_inside = std::numeric_limits<double>::infinity();
+    solver.initialize_dam_break(ic);
+
+    obs::set_probe_enabled(false);
+    try {
+        solver.step();
+        FAIL() << "step() must throw on an Inf depth";
+    } catch (const obs::NumericalFault& fault) {
+        EXPECT_EQ(fault.kernel(), "cfl");
+        EXPECT_NE(std::string(fault.what()).find("Inf"), std::string::npos)
+            << fault.what();
+    }
+    obs::probe_reset();
+}
+
+TEST(Probe, SemDtGuardCatchesNanStateWithProbeOff) {
+    // An all-NaN state gives no usable CFL rate. The viscous branch caps dt
+    // at a finite diffusive limit, so the guard must look at the advective
+    // rate itself, not only at the final dt.
+    tp::sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 2;
+    cfg.order = 3;
+    cfg.viscosity = 1.0;
+    tp::sem::SpectralEulerSolver<tp::fp::MixedPrecision> solver(cfg);
+    solver.initialize_custom([](double, double, double, double* q) {
+        for (int v = 0; v < 5; ++v)
+            q[v] = std::numeric_limits<double>::quiet_NaN();
+    });
+
+    obs::set_probe_enabled(false);
+    try {
+        solver.step();
+        FAIL() << "step() must throw on an all-NaN state";
+    } catch (const obs::NumericalFault& fault) {
+        EXPECT_EQ(fault.kernel(), "sem.cfl");
+        EXPECT_NE(std::string(fault.what()).find("NaN"), std::string::npos)
+            << fault.what();
+    }
+    obs::probe_reset();
+}
+
 TEST(Probe, CatchesInjectedNanInShallowSolver) {
     tp::shallow::Config cfg;
     cfg.geom = {0.0, 0.0, 100.0, 100.0, 16, 16, 1};
@@ -815,7 +865,6 @@ const Fields kCheckpoint{
     {"snapshot_s", "0"},
     {"write_s", "0.01"},
     {"stall_s", "0"},
-    {"async", "true"},
 };
 const Fields kDist{
     {"type", "\"dist\""},
@@ -914,7 +963,6 @@ TEST(Schema, RejectsEveryBrokenRule) {
     add("checkpoint v2 without rates", with(kCheckpoint, "bits", "[]"));
     add("checkpoint rate below 2", with(kCheckpoint, "bits", "[1,12]"));
     add("checkpoint rate above 32", with(kCheckpoint, "bits", "[16,33]"));
-    add("checkpoint with numeric async", with(kCheckpoint, "async", "1"));
 
     drop_each("dist", kDist, {"step", "ranks", "wall_s", "resplits"});
     add("dist with 0 ranks", with(kDist, "ranks", "0"));

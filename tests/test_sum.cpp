@@ -289,32 +289,6 @@ TEST(Reproducible, WorksInSinglePrecision) {
     EXPECT_NEAR(static_cast<double>(a), ref, 1e-2);
 }
 
-// ------------------------------------------------------------- tree reduce
-TEST(TreeReduce, MinMaxChunkInvariant) {
-    tp::util::Rng rng(31);
-    std::vector<double> xs;
-    for (int i = 0; i < 5000; ++i) xs.push_back(rng.uniform(-1e6, 1e6));
-    const double mn = ts::global_min<double>(xs, 1e300);
-    const double mx = ts::global_max<double>(xs, -1e300);
-    EXPECT_EQ(mn, *std::min_element(xs.begin(), xs.end()));
-    EXPECT_EQ(mx, *std::max_element(xs.begin(), xs.end()));
-}
-
-TEST(TreeReduce, EmptyReturnsIdentity) {
-    const std::vector<double> empty;
-    EXPECT_EQ(ts::global_min<double>(empty, 7.0), 7.0);
-}
-
-TEST(TreeReduce, FixedShapeSumIsDeterministic) {
-    tp::util::Rng rng(37);
-    std::vector<double> xs;
-    for (int i = 0; i < 4097; ++i) xs.push_back(rng.uniform(-1.0, 1.0));
-    const auto plus = [](double a, double b) { return a + b; };
-    const double a = ts::tree_reduce<double>(xs, 0.0, plus);
-    const double b = ts::tree_reduce<double>(xs, 0.0, plus);
-    EXPECT_EQ(a, b);
-}
-
 // ------------------------------------------------------- float instances
 TEST(SumBasic, FloatInstantiations) {
     std::vector<float> xs;
@@ -363,10 +337,4 @@ TEST(Reproducible, ReportsDiagnostics) {
     EXPECT_EQ(r.max_abs, 4.0);
     EXPECT_GE(r.folds_used, 1);
     EXPECT_NEAR(r.value, 4.5, 1e-12);
-}
-
-TEST(TreeReduce, SingleElement) {
-    const std::vector<double> one{42.0};
-    EXPECT_EQ(ts::global_min<double>(one, 1e300), 42.0);
-    EXPECT_EQ(ts::global_max<double>(one, -1e300), 42.0);
 }
