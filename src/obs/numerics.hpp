@@ -2,8 +2,8 @@
 // Numerical telemetry: per-kernel shadow-divergence profiling.
 //
 // Under --shadow-profile, every instrumented kernel (CLAMR cfl /
-// flux_sweep / apply_update / rezone remap; SEM cfl / rhs / rk_stage /
-// filter) re-executes a strided sample of its work in double precision
+// flux_sweep / apply_update / rezone remap; SEM rhs / rk_stage / filter)
+// re-executes a strided sample of its work in double precision
 // and records how far the production result drifted from that reference
 // — the practical shadow-execution recipe RAPTOR demonstrated for HPC
 // codes, wired into this repo's flight recorder so numerical and

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "fp/flush_subnormals.hpp"
 #include "fp/governor.hpp"
 #include "fp/promoted.hpp"
 #include "obs/numerics.hpp"
@@ -389,7 +390,10 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
         // Distinct (b, a) columns touch disjoint element rows, so they
         // thread safely; the f march along the pencil stays serial because
         // consecutive faces share an element.
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel
+        {
+        const fp::FlushSubnormals flush;
+#pragma omp for collapse(2) schedule(static)
         for (int b = 0; b < nb; ++b)
             for (int a = 0; a < na; ++a)
                 for (int f = 0; f < nfaces; ++f) {
@@ -482,6 +486,7 @@ void SpectralEulerSolver<Policy>::surface_kernel() {
                             }
                         }
                 }
+        }  // omp parallel
     }
 
     const std::uint64_t flops = face_nodes * kSurfaceFlopsPerFaceNode;
@@ -552,7 +557,10 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
 
         // Same decomposition as surface_kernel: (b, a) columns are
         // independent, the f march within one is not.
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel
+        {
+        const fp::FlushSubnormals flush;
+#pragma omp for collapse(2) schedule(static)
         for (int b = 0; b < nb; ++b)
             for (int a = 0; a < na; ++a)
                 for (int f = 0; f < nfaces; ++f) {
@@ -606,6 +614,7 @@ void SpectralEulerSolver<Policy>::gradient_kernel() {
                             }
                         }
                 }
+        }  // omp parallel
     }
 
     const std::uint64_t nodes = num_nodes();
@@ -692,6 +701,7 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
 
 #pragma omp parallel
     {
+    const fp::FlushSubnormals flush;
     util::ScratchArena& arena = util::tls_arena();
     util::ArenaScope scope(arena);
     S* fx = arena.alloc<S>(npts * 4);
@@ -791,7 +801,10 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
         const S pen_u = S(static_cast<double>(np * np) / de) * mu;
         const S pen_t = S(static_cast<double>(np * np) / de) * kappa;
 
-#pragma omp parallel for collapse(2) schedule(static)
+#pragma omp parallel
+        {
+        const fp::FlushSubnormals flush;
+#pragma omp for collapse(2) schedule(static)
         for (int b = 0; b < nb; ++b)
             for (int a = 0; a < na; ++a)
                 for (int f = 1; f <= nfaces; ++f) {
@@ -838,6 +851,7 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
                             }
                         }
                 }
+        }  // omp parallel
     }
 
     const std::uint64_t nodes = num_nodes();
@@ -853,20 +867,6 @@ void SpectralEulerSolver<Policy>::viscous_kernel() {
 // three direction passes in sequence, modal contributions ascending) so
 // a double-compute policy reports zero drift and a reduced-precision one
 // reports exactly the rounding its compute scalar introduced.
-
-template <fp::PrecisionPolicy Policy>
-void SpectralEulerSolver<Policy>::shadow_profile_cfl(double gx, double gy,
-                                                     double gz) const {
-    const auto stride =
-        static_cast<std::size_t>(obs::shadow_sample_stride());
-    const std::size_t n = num_nodes();
-    obs::DivergenceStats s;
-    for (std::size_t i = 0; i < n; i += stride) {
-        const double rate = cfl_rate(i, gx, gy, gz);
-        s.observe(rate, rate);
-    }
-    obs::shadow_merge("sem.cfl", "rates", s);
-}
 
 template <fp::PrecisionPolicy Policy>
 void SpectralEulerSolver<Policy>::rhs_divergence_stats(
@@ -1195,12 +1195,16 @@ void SpectralEulerSolver<Policy>::rk_stage(double a, double b, double dt) {
         storage_t* q = q_[v].data();
         compute_t* r = r_[v].data();
         compute_t* g = g_[v].data();
-#pragma omp parallel for simd schedule(static)
-        for (std::size_t i = 0; i < n; ++i) {
-            g[i] = ac * g[i] + dtc * r[i];
-            q[i] = static_cast<storage_t>(
-                static_cast<compute_t>(q[i]) + bc * g[i]);
-            r[i] = compute_t(0);
+#pragma omp parallel
+        {
+            const fp::FlushSubnormals flush;
+#pragma omp for simd schedule(static)
+            for (std::size_t i = 0; i < n; ++i) {
+                g[i] = ac * g[i] + dtc * r[i];
+                q[i] = static_cast<storage_t>(
+                    static_cast<compute_t>(q[i]) + bc * g[i]);
+                r[i] = compute_t(0);
+            }
         }
     }
     if (shadow) shadow_profile_rk_observe();
@@ -1273,10 +1277,13 @@ double SpectralEulerSolver<Policy>::compute_dt() {
     // at any team size too (an all-NaN state leaves rate_max at 0, which
     // the guard below rejects before the viscous cap can hide it).
     double rate_max = 0.0;
-#pragma omp parallel for schedule(static) reduction(max : rate_max)
-    for (std::size_t i = 0; i < n; ++i)
-        rate_max = std::max(rate_max, cfl_rate(i, gx, gy, gz));
-    if (obs::shadow_kernel_active("sem.cfl")) shadow_profile_cfl(gx, gy, gz);
+#pragma omp parallel
+    {
+        const fp::FlushSubnormals flush;
+#pragma omp for schedule(static) reduction(max : rate_max)
+        for (std::size_t i = 0; i < n; ++i)
+            rate_max = std::max(rate_max, cfl_rate(i, gx, gy, gz));
+    }
     account("cfl", timer.elapsed_seconds(), n * kCflFlopsPerNode,
             n * 8 * sizeof(storage_t), 0);
     double dt = cfg_.courant / rate_max;
@@ -1314,6 +1321,14 @@ double SpectralEulerSolver<Policy>::compute_dt() {
     return dt;
 }
 
+// Subnormals: every OpenMP region of the step opens with an
+// fp::FlushSubnormals guard, so each team thread runs the kernels with
+// FTZ | DAZ and gets its own MXCSR back when the region ends. The caller
+// holds no guard across the step: a thread the OpenMP runtime creates
+// inherits its creator's MXCSR and would keep the flush for the life of
+// the process. What runs serially here is double-precision bookkeeping
+// (dt, probes, shadow references, the governor's monitor), so it stays
+// unflushed.
 template <fp::PrecisionPolicy Policy>
 double SpectralEulerSolver<Policy>::step() {
     TP_OBS_SPAN("sem.step");

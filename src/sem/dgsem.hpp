@@ -245,13 +245,12 @@ private:
     void apply_filter();
     [[nodiscard]] double compute_dt();
     /// One node's CFL rate sum_d (|u_d| + c) / gap_d, in double for every
-    /// policy: compute_dt folds it, shadow_profile_cfl recomputes it.
+    /// policy, so the shadow profiler has no reduced-precision CFL to check.
     [[nodiscard]] double cfl_rate(std::size_t i, double gx, double gy,
                                   double gz) const;
     // --shadow-profile hooks (obs/numerics.hpp): double-precision
     // re-execution of a strided sample, cold paths behind the relaxed-load
     // gate at each call site.
-    void shadow_profile_cfl(double gx, double gy, double gz) const;
     void shadow_profile_rhs();
     /// Shared body of the rhs shadow hook and the governor monitor: the
     /// interior-node double reference, observed per variable either in

@@ -22,10 +22,15 @@
 // with -ffp-contract=off — so every (NP, W) instantiation produces
 // bit-identical results, which is what bench/table_simd_speedup and
 // tests/test_simd.cpp verify.
+//
+// Every parallel region opens with an fp::FlushSubnormals guard, so each
+// thread of the team runs the kernel with subnormals flushed to zero and
+// leaves the region with its own MXCSR back (DESIGN.md §16).
 
 #include <cstddef>
 #include <cstdint>
 
+#include "fp/flush_subnormals.hpp"
 #include "sem/dgsem.hpp"
 #include "simd/pack.hpp"
 #include "util/arena.hpp"
@@ -243,6 +248,7 @@ void volume_loop(const VolumeArgs<Sto, C>& A, const S* dloc,
     const std::size_t npts = static_cast<std::size_t>(np) * np * np;
 #pragma omp parallel
     {
+        const fp::FlushSubnormals flush;
         util::ScratchArena& arena = util::tls_arena();
         util::ArenaScope scope(arena);
         S* fx = arena.alloc<S>(npts * kVars);
@@ -406,6 +412,7 @@ void gradient_loop(const GradientArgs<Sto, C>& A, const S* dloc,
     const std::size_t npts = static_cast<std::size_t>(np) * np * np;
 #pragma omp parallel
     {
+        const fp::FlushSubnormals flush;
         util::ScratchArena& arena = util::tls_arena();
         util::ArenaScope scope(arena);
         S* prim = arena.alloc<S>(npts * 4);
@@ -527,6 +534,7 @@ void filter_loop(const FilterArgs<Sto, C>& A, const C* floc,
     const std::size_t npts = static_cast<std::size_t>(np) * np * np;
 #pragma omp parallel
     {
+        const fp::FlushSubnormals flush;
         util::ScratchArena& arena = util::tls_arena();
         util::ArenaScope scope(arena);
         C* tmp = arena.alloc<C>(npts);

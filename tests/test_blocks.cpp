@@ -1,48 +1,33 @@
-// Block-structured-AMR contracts (DESIGN.md §13) that need their own
-// binary: the zero-steady-state-allocation guarantee of the blocked flux
-// sweep is checked with a global operator-new counter (counters can't
-// share a process with test_dist's), plus the frozen checkpoint digests
-// the flux sweep and the SEM stable-dt reduction must reproduce, the
-// BlockIndex lifecycle across rezones, and the fill-mask/fallback
-// partition invariant.
+// Block-structured-AMR contracts (DESIGN.md §13): the zero-steady-state-
+// allocation guarantee of the blocked flux sweep, checked with the
+// global operator-new counter of alloc_counter.cpp, plus the frozen
+// checkpoint digests the flux sweep and the SEM step must reproduce, the
+// scope of the SEM step's subnormal flush, the BlockIndex lifecycle
+// across rezones, and the fill-mask/fallback partition invariant.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <map>
-#include <new>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "fp/flush_subnormals.hpp"
 #include "fp/half_policy.hpp"
 #include "mesh/block_tree.hpp"
+#include "obs/probe.hpp"
 #include "sem/dgsem.hpp"
 #include "shallow/solver.hpp"
 #include "util/threads.hpp"
 
 using namespace tp;
 namespace tsh = tp::shallow;
-
-// ------------------------------------------------- allocation bookkeeping
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -58,10 +43,13 @@ tsh::Config amr_config(int n, int levels, simd::Mode mode,
 // Runs a test body on one thread: the results are thread-count
 // invariant, and under a parallel ctest a full OpenMP team per test only
 // oversubscribes the host.
-struct SingleThread {
+struct TeamSize {
     int previous = util::max_threads();
-    SingleThread() { util::set_threads(1); }
-    ~SingleThread() { util::set_threads(previous); }
+    explicit TeamSize(int threads) { util::set_threads(threads); }
+    ~TeamSize() { util::set_threads(previous); }
+};
+struct SingleThread : TeamSize {
+    SingleThread() : TeamSize(1) {}
 };
 
 template <typename Policy>
@@ -76,7 +64,7 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
 
 // ------------------------------------------- frozen cell-path digests
 
-// tools/baselines/cell_path_digests.txt freezes the checkpoints of three
+// tools/baselines/cell_path_digests.txt freezes the checkpoints of four
 // retired paths, each recorded while it was still the bit-identical
 // oracle of the path that replaced it. The per-cell flux sweep froze
 // every policy, SIMD shape and grid the blocked-sweep gates compared
@@ -84,7 +72,8 @@ std::string checkpoint_after(const tsh::Config& cfg, int steps) {
 // small grids). The face-scan rezone (flags and topology caches rebuilt
 // from the mesh face lists) froze the rezone-heavy shape of
 // SimdEquivalence.ClamrRezoneHeavyBitIdentical: 24^2, 4 levels, rezone
-// every 2, 25 steps. The SEM rows are described at SemCflDigests below.
+// every 2, 25 steps. The SEM rows (the per-node CFL scan and the
+// unflushed step) are described at SemCflDigests below.
 // The solvers must still reproduce every one, rezoning throughout. A
 // missing or different entry is reported as the line the run produced.
 
@@ -169,53 +158,172 @@ TEST(CellPathDigests, HalfStoragePrecision) {
 }
 
 // The last section of cell_path_digests.txt freezes SEM thermal-bubble
-// checkpoints (3^3 elements, order 4, 5 steps) recorded while the stable
-// dt still came from a per-node rate buffer and a blocked max reducer:
-// every policy x simd shape, plus the promote_each_op kernel and the
-// viscous path (whose dt also takes the diffusive limit). Keys read
-// "sem-<policy> <simd> <elements> <order> <steps> <variant>".
+// checkpoints, keyed "sem-<policy> <simd> <elements> <order> <steps>
+// <variant>". Each shape freezes every policy x simd pair plus the
+// promote_each_op kernel:
+// - 3^3 elements, order 4, 5 steps, recorded while the stable dt still
+//   came from a per-node rate buffer and a blocked max reducer, plus the
+//   viscous path (whose dt also takes the diffusive limit);
+// - 3^3 elements, order 7, 20 steps, recorded before the SEM step
+//   flushed subnormals (DESIGN.md §16). Unlike the small shape,
+//   this one computes subnormal intermediates: unflushed, its single-
+//   precision volume kernel takes about twice as long as flushed.
+
+struct SemShape {
+    int elements, order, steps;
+};
+constexpr SemShape kCflShape{3, 4, 5};
+constexpr SemShape kSubnormalShape{3, 7, 20};
 
 template <typename Policy>
-std::string sem_digest(simd::Mode mode, const std::string& variant) {
+std::string sem_digest(SemShape shape, simd::Mode mode,
+                       const std::string& variant) {
     sem::SemConfig cfg;
-    cfg.nx = cfg.ny = cfg.nz = 3;
-    cfg.order = 4;
+    cfg.nx = cfg.ny = cfg.nz = shape.elements;
+    cfg.order = shape.order;
     cfg.simd = mode;
     cfg.promote_each_op = variant == "promote";
     cfg.viscosity = variant == "viscous" ? 1.0 : 0.0;
     sem::SpectralEulerSolver<Policy> s(cfg);
     s.initialize_thermal_bubble({});
-    s.run(5);
+    s.run(shape.steps);
     std::ostringstream os(std::ios::binary);
     s.write_checkpoint(os);
     return digest_of(std::move(os).str());
 }
 
+template <typename Policy>
+void expect_sem_row(const std::map<std::string, std::string>& frozen,
+                    SemShape shape, simd::Mode mode,
+                    const std::string& variant) {
+    std::ostringstream key;
+    key << "sem-" << Policy::name << ' '
+        << (mode == simd::Mode::Native ? "native" : "scalar") << ' '
+        << shape.elements << ' ' << shape.order << ' ' << shape.steps << ' '
+        << variant;
+    const auto it = frozen.find(key.str());
+    const std::string want = it == frozen.end() ? "(missing)" : it->second;
+    const std::string got = sem_digest<Policy>(shape, mode, variant);
+    EXPECT_EQ(got, want) << "produced: " << key.str() << ' ' << got;
+}
+
+/// The rows every SEM shape freezes: policy x simd, plus promote_each_op.
+void expect_sem_rows(const std::map<std::string, std::string>& frozen,
+                     SemShape shape) {
+    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
+        expect_sem_row<fp::MinimumPrecision>(frozen, shape, mode, "inviscid");
+        expect_sem_row<fp::MixedPrecision>(frozen, shape, mode, "inviscid");
+        expect_sem_row<fp::FullPrecision>(frozen, shape, mode, "inviscid");
+    }
+    expect_sem_row<fp::MinimumPrecision>(frozen, shape, simd::Mode::Native,
+                                         "promote");
+}
+
 TEST(SemCflDigests, EveryPolicySimdAndVariant) {
     const SingleThread one;
     const auto frozen = read_frozen_digests();
-    const auto check = [&]<typename Policy>(simd::Mode mode,
-                                            const std::string& variant) {
-        const std::string key =
-            "sem-" + std::string(Policy::name) + ' ' +
-            (mode == simd::Mode::Native ? "native" : "scalar") + " 3 4 5 " +
-            variant;
-        const auto it = frozen.find(key);
-        const std::string want =
-            it == frozen.end() ? "(missing)" : it->second;
-        const std::string got = sem_digest<Policy>(mode, variant);
-        EXPECT_EQ(got, want) << "produced: " << key << ' ' << got;
-    };
-    for (const auto mode : {simd::Mode::Scalar, simd::Mode::Native}) {
-        check.template operator()<fp::MinimumPrecision>(mode, "inviscid");
-        check.template operator()<fp::MixedPrecision>(mode, "inviscid");
-        check.template operator()<fp::FullPrecision>(mode, "inviscid");
-    }
-    check.template operator()<fp::MinimumPrecision>(simd::Mode::Native,
-                                                    "promote");
-    check.template operator()<fp::FullPrecision>(simd::Mode::Native,
-                                                 "viscous");
+    expect_sem_rows(frozen, kCflShape);
+    expect_sem_row<fp::FullPrecision>(frozen, kCflShape, simd::Mode::Native,
+                                      "viscous");
 }
+
+TEST(SemCflDigests, SubnormalShapeAtOneAndFourThreads) {
+    const auto frozen = read_frozen_digests();
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        const TeamSize team(threads);
+        expect_sem_rows(frozen, kSubnormalShape);
+    }
+}
+
+// ------------------------------------------------- subnormal flush scope
+
+// Every OpenMP region of the SEM step flushes subnormals on its own
+// threads and restores their MXCSR when it ends; nothing else may keep a
+// changed MXCSR. The CLAMR solver is not flushed: a flushed minimum-
+// precision run of the frozen "24 4 25 2" shape gives different bits.
+// The step runs first in these tests, before any other parallel region,
+// so the OpenMP runtime creates its threads inside it: a guard held by
+// the caller across a fork would hand the flush to them for good.
+#if defined(__SSE__)
+
+/// MXCSR without its six sticky exception flags, which any arithmetic
+/// may raise: the control bits (flush, rounding, masks).
+unsigned mxcsr_mode() { return _mm_getcsr() & ~0x3Fu; }
+
+/// The MXCSR mode of every thread of a fresh parallel region.
+std::vector<unsigned> team_mxcsr() {
+    std::vector<unsigned> seen;
+#pragma omp parallel
+    {
+        const unsigned csr = mxcsr_mode();
+#pragma omp critical
+        seen.push_back(csr);
+    }
+    return seen;
+}
+
+void expect_team_unchanged(unsigned caller) {
+    EXPECT_EQ(mxcsr_mode(), caller) << "caller";
+    const auto team = team_mxcsr();
+    EXPECT_EQ(team.size(), static_cast<std::size_t>(util::max_threads()));
+    for (const unsigned csr : team) EXPECT_EQ(csr, caller) << "team thread";
+}
+
+sem::SemConfig subnormal_shape_config() {
+    sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = kSubnormalShape.elements;
+    cfg.order = kSubnormalShape.order;
+    return cfg;
+}
+
+TEST(FlushScope, SemStepLeavesEveryThreadsMxcsrAsItFoundIt) {
+    const TeamSize team(4);
+    const unsigned caller = mxcsr_mode();
+    ASSERT_EQ(caller & fp::FlushSubnormals::kFtzDaz, 0u);
+    sem::SpectralEulerSolver<fp::MinimumPrecision> s(
+        subnormal_shape_config());
+    s.initialize_thermal_bubble({});
+    s.run(3);
+    expect_team_unchanged(caller);
+}
+
+TEST(FlushScope, FaultingSemStepLeavesEveryThreadsMxcsrAsItFoundIt) {
+    const TeamSize team(4);
+    const unsigned caller = mxcsr_mode();
+    // The all-NaN viscous state of Probe.SemDtGuardCatchesNanStateWithProbeOff:
+    // the step runs its CFL region, then throws.
+    sem::SemConfig cfg;
+    cfg.nx = cfg.ny = cfg.nz = 2;
+    cfg.order = 3;
+    cfg.viscosity = 1.0;
+    sem::SpectralEulerSolver<fp::MixedPrecision> s(cfg);
+    s.initialize_custom([](double, double, double, double* q) {
+        for (int v = 0; v < sem::kVars; ++v)
+            q[v] = std::numeric_limits<double>::quiet_NaN();
+    });
+    EXPECT_THROW(s.step(), obs::NumericalFault);
+    expect_team_unchanged(caller);
+}
+
+TEST(FlushScope, ClamrAfterSemReproducesItsFrozenDigest) {
+    const TeamSize team(4);
+    sem::SpectralEulerSolver<fp::MinimumPrecision> s(
+        subnormal_shape_config());
+    s.initialize_thermal_bubble({});
+    s.run(3);
+    const auto frozen = read_frozen_digests();
+    const std::string got =
+        digest_of(checkpoint_after<fp::MinimumPrecision>(
+            amr_config(24, 4, simd::Mode::Native, 2), 25));
+    EXPECT_EQ(got, frozen.at("minimum native 24 4 25 2"));
+}
+
+#else
+TEST(FlushScope, SemStepLeavesEveryThreadsMxcsrAsItFoundIt) {
+    GTEST_SKIP() << "built without SSE: there is no MXCSR to check";
+}
+#endif
 
 // ------------------------------------------------- block index lifecycle
 
@@ -336,10 +444,10 @@ TEST(BlockedAllocations, SteadyStateStepIsAllocationFree) {
     tsh::ShallowWaterSolver<fp::MixedPrecision> s(cfg);
     s.initialize_dam_break({});
     s.run(3);  // warm every lazy scratch buffer
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     s.run(5);
-    EXPECT_EQ(g_allocs.load(), before) << "blocked sweep allocated in "
-                                          "steady state";
+    EXPECT_EQ(tp::test::heap_allocations(), before)
+        << "blocked sweep allocated in steady state";
 }
 
 // Rezoning steps: once a warm-up has seen every mesh the measured steps
@@ -380,9 +488,9 @@ TEST(BlockedAllocations, SteadyStateRezoneAddsNoAllocations) {
         for (const auto& d : window) {
             s.restore_checkpoint(d);
             const std::uint64_t rebuilds = s.block_index().stats().rebuilds;
-            const std::uint64_t before = g_allocs.load();
+            const std::uint64_t before = tp::test::heap_allocations();
             s.step();
-            if (pass == 1) replayed += g_allocs.load() - before;
+            if (pass == 1) replayed += tp::test::heap_allocations() - before;
             ASSERT_EQ(s.block_index().stats().rebuilds, rebuilds + 1);
         }
     }

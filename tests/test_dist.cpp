@@ -1,44 +1,26 @@
-// Distributed-solver contracts that need their own binary: the
-// zero-steady-state-allocation guarantee of step() and total_mass() is
-// checked with a global operator-new counter (the same pattern as
-// test_obs.cpp's zero-cost-when-off test, and the two counters cannot
-// share one process), plus the decomposition-invariance matrix, the
-// communicator drain/deadlock contracts, the load balancer's exact
+// Distributed-solver contracts: the zero-steady-state-allocation
+// guarantee of step() and total_mass(), checked with the global
+// operator-new counter of alloc_counter.cpp (as test_obs.cpp's
+// zero-cost-when-off test is), plus the decomposition-invariance matrix,
+// the communicator drain/deadlock contracts, the load balancer's exact
 // state carryover, and the halo byte ledgers.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <new>
 #include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "par/comm.hpp"
 #include "par/dist_shallow.hpp"
 
 using namespace tp;
-
-// ------------------------------------------------- allocation bookkeeping
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -73,10 +55,11 @@ TEST(DistAllocations, SteadyStateStepIsAllocationFree) {
     s.initialize_dam_break();
     s.run(3);  // warm the comm pool and every lazy scratch buffer
     (void)s.total_mass();
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     s.run(5);
     (void)s.total_mass();
-    EXPECT_EQ(g_allocs.load(), before) << "allocated in steady state";
+    EXPECT_EQ(tp::test::heap_allocations(), before)
+        << "allocated in steady state";
     EXPECT_TRUE(s.comm_drained());
 }
 
@@ -89,9 +72,9 @@ TEST(DistAllocations, UniformRebalanceIsAllocationFree) {
     s.run(2);
     const std::vector<double> uniform(32, 1.0);
     s.rebalance(uniform);  // warm: the evaluation itself moves no rows
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     s.rebalance(uniform);
-    EXPECT_EQ(g_allocs.load(), before);
+    EXPECT_EQ(tp::test::heap_allocations(), before);
     EXPECT_EQ(s.lb_stats().resplits, 0u);
 }
 

@@ -2,8 +2,10 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
+#include "fp/flush_subnormals.hpp"
 #include "fp/half.hpp"
 #include "fp/metrics.hpp"
 #include "fp/precision.hpp"
@@ -227,6 +229,76 @@ TEST(PromotedFloat, MathHelpers) {
                   max(tf::PromotedFloat(1.0f), tf::PromotedFloat(2.0f))),
               2.0f);
 }
+
+// -------------------------------------------------------- flush subnormals
+#if defined(__SSE__)
+namespace {
+/// a * b through memory the compiler cannot fold: with DAZ the
+/// subnormal operand reads as zero, with FTZ a subnormal result does.
+float opaque_product(float a, float b) {
+    volatile float x = a;
+    volatile float y = b;
+    return x * y;
+}
+constexpr float kSubnormal = 1e-40f;
+/// MXCSR without its six sticky exception flags, which any arithmetic
+/// may raise: the control bits the guard promises to put back.
+unsigned mxcsr_mode() { return _mm_getcsr() & ~0x3Fu; }
+}  // namespace
+
+TEST(FlushSubnormals, FlushesInsideTheScopeAndRestoresOnExit) {
+    const unsigned before = mxcsr_mode();
+    ASSERT_EQ(before & tf::FlushSubnormals::kFtzDaz, 0u);
+    ASSERT_NE(opaque_product(kSubnormal, 1.0f), 0.0f);
+    {
+        const tf::FlushSubnormals flush;
+        EXPECT_EQ(mxcsr_mode(), before | tf::FlushSubnormals::kFtzDaz);
+        EXPECT_EQ(opaque_product(kSubnormal, 1.0f), 0.0f);  // DAZ
+        EXPECT_EQ(opaque_product(1e-20f, 1e-20f), 0.0f);    // FTZ
+    }
+    EXPECT_EQ(mxcsr_mode(), before);
+    EXPECT_NE(opaque_product(kSubnormal, 1.0f), 0.0f);
+}
+
+TEST(FlushSubnormals, RestoresWhenAnExceptionLeavesTheScope) {
+    const unsigned before = mxcsr_mode();
+    EXPECT_THROW(
+        {
+            const tf::FlushSubnormals flush;
+            throw std::runtime_error("leave the scope");
+        },
+        std::runtime_error);
+    EXPECT_EQ(mxcsr_mode(), before);
+}
+
+TEST(FlushSubnormals, KeepsExceptionFlagsRaisedInTheScope) {
+    constexpr unsigned kOverflowFlag = 0x8;
+    _mm_setcsr(_mm_getcsr() & ~kOverflowFlag);
+    {
+        const tf::FlushSubnormals flush;
+        EXPECT_TRUE(std::isinf(opaque_product(1e30f, 1e30f)));
+    }
+    EXPECT_NE(_mm_getcsr() & kOverflowFlag, 0u);
+    _mm_setcsr(_mm_getcsr() & ~kOverflowFlag);
+}
+
+TEST(FlushSubnormals, NestedGuardsRestoreInOrder) {
+    const unsigned before = mxcsr_mode();
+    {
+        const tf::FlushSubnormals outer;
+        {
+            const tf::FlushSubnormals inner;
+        }
+        EXPECT_EQ(mxcsr_mode(), before | tf::FlushSubnormals::kFtzDaz);
+    }
+    EXPECT_EQ(mxcsr_mode(), before);
+}
+#else
+TEST(FlushSubnormals, FlushesInsideTheScopeAndRestoresOnExit) {
+    GTEST_SKIP() << "built without SSE: there is no MXCSR and FlushSubnormals "
+                    "does nothing";
+}
+#endif
 
 // ------------------------------------------------------------- half extras
 TEST(Half, OrderingOperator) {

@@ -8,18 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/numerics.hpp"
@@ -36,25 +35,11 @@
 namespace obs = tp::obs;
 namespace json = tp::obs::json;
 
-// ------------------------------------------------- allocation bookkeeping
-
-// Count every heap allocation in the test binary so the zero-cost-when-off
-// contract is testable: N instrumentation points with tracing/probing off
-// must perform zero allocations (and, per ScopedSpan's design, no clock
-// reads — not observable here, but the allocation half is).
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void* operator new(std::size_t size) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size)) return p;
-    throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-
+// alloc_counter.cpp counts every heap allocation in this binary so the
+// zero-cost-when-off contract is testable: N instrumentation points with
+// tracing/probing off must perform zero allocations (and, per
+// ScopedSpan's design, no clock reads — not observable here, but the
+// allocation half is).
 namespace {
 
 std::string slurp(const std::string& path) {
@@ -568,12 +553,12 @@ TEST(Probe, HealthySolverStepRaisesNothing) {
 TEST(ZeroCost, InstrumentationPointsDoNotAllocateWhenOff) {
     ASSERT_FALSE(obs::trace_enabled());
     ASSERT_FALSE(obs::probe_enabled());
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     for (int i = 0; i < 10000; ++i) {
         TP_OBS_SPAN("zero.cost");
         if (obs::probe_enabled()) ADD_FAILURE() << "probe must be off";
     }
-    EXPECT_EQ(g_allocs.load() - before, 0u);
+    EXPECT_EQ(tp::test::heap_allocations() - before, 0u);
 }
 
 TEST(ZeroCost, SolverStepsAllocationFreeWithObsOffAfterWarmup) {
@@ -589,9 +574,9 @@ TEST(ZeroCost, SolverStepsAllocationFreeWithObsOffAfterWarmup) {
     tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision> solver(cfg);
     solver.initialize_dam_break({});
     solver.run(5);  // warmup
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     solver.run(5);
-    EXPECT_EQ(g_allocs.load() - before, 0u);
+    EXPECT_EQ(tp::test::heap_allocations() - before, 0u);
 }
 
 TEST(ZeroCost, ShadowProfilingAllocationFreeAfterWarmup) {
@@ -607,9 +592,9 @@ TEST(ZeroCost, ShadowProfilingAllocationFreeAfterWarmup) {
     tp::shallow::ShallowWaterSolver<tp::fp::MixedPrecision> solver(cfg);
     solver.initialize_dam_break({});
     solver.run(5);  // warmup: scratch + registry reach steady state
-    const std::uint64_t before = g_allocs.load();
+    const std::uint64_t before = tp::test::heap_allocations();
     solver.run(5);
-    EXPECT_EQ(g_allocs.load() - before, 0u);
+    EXPECT_EQ(tp::test::heap_allocations() - before, 0u);
     obs::set_shadow_profile(false);
     obs::set_shadow_sample_stride(16);
     obs::shadow_reset();
@@ -665,6 +650,10 @@ TEST(Flush, PoisonedRunKeepsStreamValidAndNumericsFlushed) {
     obs::set_shadow_sample_stride(16);
 }
 
+[[noreturn]] void throw_runtime_error() {
+    throw std::runtime_error("uncaught");
+}
+
 // Body of the death test below: lives in a free function because the
 // brace-initialized argv would otherwise split EXPECT_DEATH's macro args.
 [[noreturn]] void run_then_throw_uncaught(const std::string& trace,
@@ -678,8 +667,9 @@ TEST(Flush, PoisonedRunKeepsStreamValidAndNumericsFlushed) {
     { TP_OBS_SPAN("death.span"); }
     // Throw across a noexcept boundary: std::terminate fires at the throw
     // point itself, which the death-test harness cannot catch — the same
-    // handler an exception escaping main() reaches.
-    [&]() noexcept { throw std::runtime_error("uncaught"); }();
+    // handler an exception escaping main() reaches. The throw sits in a
+    // callee so the compiler sees no throw inside the noexcept body.
+    [&]() noexcept { throw_runtime_error(); }();
     std::abort();
 }
 
